@@ -6,11 +6,12 @@ Pipeline order is always TS -> PS -> EQ. RRC is an alternative to TS/PS
 and may not be combined with them; RRC + EQ is allowed.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import ConfigError, DataError
 from .melfront import MelSpectrogram, build_filterbank, log_silence
@@ -194,6 +195,58 @@ def warp_band_position(u, mu, num_bands, sample_rate_hz):
 # ---------------------------------------------------------------------------
 # transforms
 
+@functools.lru_cache(maxsize=64)
+def _natural_spline_band(n):
+    """Read-only (3, n) band of the natural-spline system on knots 0..n-1
+    for s = M / 6, a sixth of the second derivatives:
+    s[i-1] + 4 s[i] + s[i+1] = y[i-1] - 2 y[i] + y[i+1] for interior i,
+    and identity rows for s[0] = s[n-1] = 0."""
+    band = np.zeros((3, n))
+    band[0, 2:] = 1.0       # A[i, i+1] of the interior rows
+    band[1, 1:-1] = 4.0
+    band[1, [0, -1]] = 1.0
+    band[2, :-2] = 1.0      # A[i+1, i] of the interior rows
+    band.flags.writeable = False
+    return band
+
+
+def natural_spline(values, positions):
+    """Natural cubic spline through values[i] at knot i (unit spacing,
+    along axis 0 of a 2-D array), evaluated at positions clipped to
+    [0, n-1]. Returns one row per position.
+
+    One banded solve gives s = M / 6 from the second derivatives M; on
+    [i, i+1], with a = t - i and b = 1 - a, the spline is
+    b y[i] + a y[i+1] + (b^3 - b) s[i] + (a^3 - a) s[i+1].
+    The work is memory-bound, so it runs in place on C-ordered rows.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    n = values.shape[0]
+    rhs = np.empty_like(values)
+    rhs[0] = rhs[-1] = 0.0
+    mid = np.subtract(values[2:], values[1:-1], out=rhs[1:-1])
+    mid -= values[1:-1]
+    mid += values[:-2]
+    s = np.ascontiguousarray(
+        solve_banded((1, 1), _natural_spline_band(n), rhs, overwrite_b=True))
+    t = np.clip(positions, 0, n - 1)
+    i = np.minimum(t.astype(int), n - 2)
+    a = (t - i)[:, None]
+    b = 1.0 - a
+    out = values[i]
+    out *= b
+    term = values[i + 1]
+    term *= a
+    out += term
+    term = s[i]
+    term *= b ** 3 - b
+    out += term
+    term = s[i + 1]
+    term *= a ** 3 - a
+    out += term
+    return out
+
+
 def center_crop(x: MelSpectrogram, frames: int) -> MelSpectrogram:
     if x.num_frames < frames:
         raise DataError("cannot crop %d frames from %d" % (frames, x.num_frames))
@@ -218,9 +271,8 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
             "insufficient context: tau=%g over %d output frames needs %d "
             "source frames, have %d"
             % (p.tau, out_frames, int(np.ceil(p.tau * (out_frames - 1))) + 1, m_src))
-    spline = CubicSpline(np.arange(m_src), x.values, axis=1, bc_type="natural")
-    t = np.clip(p.tau * np.arange(out_frames), 0, m_src - 1)
-    return x.copy(values=spline(t))
+    t = p.tau * np.arange(out_frames)
+    return x.copy(values=natural_spline(x.values.T, t).T)
 
 
 def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
@@ -234,8 +286,7 @@ def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
     src_pos = warp_band_position(np.arange(u_count), 1.0 / p.mu,
                                  u_count, cfg.sample_rate_hz)
     valid = src_pos <= u_count - 1
-    spline = CubicSpline(np.arange(u_count), x.values, axis=0, bc_type="natural")
-    out = spline(np.clip(src_pos, 0, u_count - 1))
+    out = natural_spline(x.values, src_pos)
     out[~valid, :] = log_silence(cfg)
     return x.copy(values=out)
 
@@ -251,17 +302,31 @@ def butterworth_magnitude(freq_hz, corner_hz, mode, order=3):
     raise ConfigError("unknown Butterworth mode %r" % mode)
 
 
+def _eq_basis(config, filterbank):
+    """Row-sum-normalized filterbank rows and the DFT bin frequencies."""
+    rows = filterbank.weights / filterbank.weights.sum(axis=1, keepdims=True)
+    bin_hz = np.arange(rows.shape[1]) * config.sample_rate_hz / config.dft_size
+    return rows, bin_hz
+
+
+@functools.lru_cache(maxsize=8)
+def eq_basis(config):
+    """_eq_basis of the config's own filterbank, built once per config
+    and returned as read-only arrays."""
+    rows, bin_hz = _eq_basis(config, build_filterbank(config))
+    rows.flags.writeable = False
+    bin_hz.flags.writeable = False
+    return rows, bin_hz
+
+
 def eq_offsets(config, p: EqParams, filterbank=None):
     """Per-band additive log offsets log10(sum_k S_u[k] B[k]) with
     row-sum-normalized filterbank rows."""
     if p.mode == "none":
         return np.zeros(config.num_bands)
-    if filterbank is None:
-        filterbank = build_filterbank(config)
-    n_bins = filterbank.weights.shape[1]
-    bin_hz = np.arange(n_bins) * config.sample_rate_hz / config.dft_size
+    rows, bin_hz = (eq_basis(config) if filterbank is None
+                    else _eq_basis(config, filterbank))
     response = butterworth_magnitude(bin_hz, p.corner_hz, p.mode, p.order)
-    rows = filterbank.weights / filterbank.weights.sum(axis=1, keepdims=True)
     banded = rows @ response
     return np.log10(np.maximum(banded, 1e-300))
 

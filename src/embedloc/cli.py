@@ -48,11 +48,19 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base, override):
+def _merge_known(base, override, prefix=""):
+    """base with override merged in. Every override path must already
+    exist in base, and sections (dicts) may only be merged into sections."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        path = prefix + key
+        if key not in out:
+            raise ConfigError("unknown config path %r" % path)
+        if isinstance(out[key], dict) != isinstance(value, dict):
+            raise ConfigError("config path %r must %sbe an object"
+                              % (path, "" if isinstance(out[key], dict) else "not "))
+        if isinstance(value, dict):
+            out[key] = _merge_known(out[key], value, path + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -63,15 +71,9 @@ def _apply_override(config, dotted, raw_value):
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    node = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError("unknown config path %r" % dotted)
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError("unknown config field %r" % dotted)
-    node[parts[-1]] = value
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return _merge_known(config, value)
 
 
 def load_config(path=None, overrides=()):
@@ -79,16 +81,19 @@ def load_config(path=None, overrides=()):
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                config = _deep_merge(config, json.load(fh))
+                loaded = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("config file not found: %s" % path)
         except json.JSONDecodeError as exc:
             raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file %s must hold a JSON object" % path)
+        config = _merge_known(config, loaded)
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override %r is not of the form path=value" % item)
         dotted, raw = item.split("=", 1)
-        _apply_override(config, dotted, raw)
+        config = _apply_override(config, dotted, raw)
     env_seed = os.environ.get("EMBEDLOC_SEED")
     if env_seed is not None:
         try:
@@ -308,7 +313,7 @@ def cmd_report(config):
     merged = {"config_hash": config_hash(config), "seed": config["seed"],
               "artifacts": {}}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
-        if name.endswith(".json"):
+        if name.endswith(".json") and name != "report.json":
             with open(os.path.join(out, name), "r", encoding="utf-8") as fh:
                 merged["artifacts"][name] = json.load(fh)
     path = os.path.join(out, "report.json")

@@ -66,13 +66,28 @@ def write_manifest(path, records):
             fh.write(json.dumps(rec.to_dict()) + "\n")
 
 
+MANIFEST_REQUIRED = ("track_id", "feature_path", "duration_s")
+
+
 def read_manifest(path):
+    """Read a JSON-lines manifest; a bad line raises DataError naming
+    path:line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(TrackRecord.from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise DataError("expected a JSON object")
+                missing = [k for k in MANIFEST_REQUIRED if k not in d]
+                if missing:
+                    raise DataError("missing field(s) %s" % ", ".join(missing))
+                records.append(TrackRecord.from_dict(d))
+            except (ValueError, TypeError, DataError) as exc:
+                raise DataError("%s:%d: %s" % (path, lineno, exc)) from exc
     return records
 
 

@@ -9,9 +9,13 @@ Layout (all little-endian):
     payload row-major little-endian values
 """
 
+import math
+import os
 import struct
 
 import numpy as np
+
+from .errors import DataError
 
 MAGIC = b"EMLT"
 VERSION = 1
@@ -20,7 +24,7 @@ DTYPE_F32 = 1
 _DTYPE_CODES = {DTYPE_F32: np.dtype("<f4")}
 
 
-class TensorFormatError(ValueError):
+class TensorFormatError(DataError):
     pass
 
 
@@ -34,21 +38,32 @@ def write_tensor(path, array):
         fh.write(arr.tobytes())
 
 
+def _read_exact(fh, size, path, what):
+    data = fh.read(size)
+    if len(data) != size:
+        raise TensorFormatError("truncated %s in %s: %d of %d bytes"
+                                % (what, path, len(data), size))
+    return data
+
+
 def read_tensor(path):
     """Read an EMLT file back into a numpy array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise TensorFormatError("bad magic %r in %s" % (magic, path))
-        version, dtype_code, ndim = struct.unpack("<HHH", fh.read(6))
+        version, dtype_code, ndim = struct.unpack(
+            "<HHH", _read_exact(fh, 6, path, "header"))
         if version != VERSION:
-            raise TensorFormatError("unsupported version %d" % version)
+            raise TensorFormatError("unsupported version %d in %s" % (version, path))
         if dtype_code not in _DTYPE_CODES:
-            raise TensorFormatError("unknown dtype code %d" % dtype_code)
-        dims = struct.unpack("<%dQ" % ndim, fh.read(8 * ndim))
+            raise TensorFormatError("unknown dtype code %d in %s" % (dtype_code, path))
+        dims = struct.unpack("<%dQ" % ndim, _read_exact(fh, 8 * ndim, path, "dims"))
         dtype = _DTYPE_CODES[dtype_code]
-        count = int(np.prod(dims)) if ndim else 1
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise TensorFormatError("truncated payload in %s" % path)
-        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        size = math.prod(dims) * dtype.itemsize
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > remaining:
+            raise TensorFormatError(
+                "truncated payload in %s: dims %s need %d bytes, %d remain"
+                % (path, list(dims), size, remaining))
+        return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).copy()

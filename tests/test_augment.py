@@ -287,3 +287,81 @@ def test_derived_rng_is_stable():
     c = augment.derive_rng(1, "x", 3).uniform(size=3)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# natural-spline kernel against scipy's CubicSpline (the oracle lives
+# here only; the package does not import scipy.interpolate)
+
+def spline_oracle(values, positions, axis):
+    from scipy.interpolate import CubicSpline
+    n = values.shape[axis]
+    spline = CubicSpline(np.arange(n), values, axis=axis, bc_type="natural")
+    return spline(np.clip(positions, 0, n - 1))
+
+
+@pytest.mark.parametrize("tau", [0.75, 1.0, 1.5])
+def test_time_stretch_matches_cubic_spline_oracle(tau):
+    x = random_mel(np.random.default_rng(30))
+    out = augment.time_stretch(x, TimeStretchParams(tau=tau), out_frames=300)
+    ref = spline_oracle(x.values, tau * np.arange(300), axis=1)
+    assert np.abs(out.values - ref).max() <= 1e-12
+
+
+def test_full_track_stretch_matches_oracle_over_sweep_grid():
+    from embedloc.locality import DEFAULT_STRETCH_GRID
+    x = random_mel(np.random.default_rng(31), frames=1600)
+    for tau in DEFAULT_STRETCH_GRID:
+        out = augment.time_stretch(x, TimeStretchParams(tau=tau))
+        ref = spline_oracle(x.values, tau * np.arange(out.num_frames), axis=1)
+        assert out.num_frames == int(np.floor(1599 / tau)) + 1
+        assert np.abs(out.values - ref).max() <= 1e-12, tau
+
+
+@pytest.mark.parametrize("mu", [0.749, 1.0, 1.335])
+def test_pitch_shift_matches_cubic_spline_oracle(mu):
+    x = random_mel(np.random.default_rng(32), frames=300)
+    out = augment.pitch_shift(x, PitchShiftParams(mu=mu))
+    src = augment.warp_band_position(np.arange(CFG.num_bands), 1.0 / mu,
+                                     CFG.num_bands, CFG.sample_rate_hz)
+    ref = spline_oracle(x.values, src, axis=0)
+    ref[src > CFG.num_bands - 1, :] = melfront.log_silence(CFG)
+    assert (mu < 1.0) == bool(np.any(src > CFG.num_bands - 1))
+    assert np.abs(out.values - ref).max() <= 1e-12
+
+
+def test_natural_spline_two_knots_is_linear():
+    values = np.array([[1.0, -2.0], [3.0, 4.0]])
+    out = augment.natural_spline(values, np.array([0.0, 0.25, 1.0, 7.0]))
+    np.testing.assert_allclose(out, [[1.0, -2.0], [1.5, -0.5],
+                                     [3.0, 4.0], [3.0, 4.0]], atol=1e-15)
+
+
+def test_eq_basis_cached_matches_explicit_filterbank():
+    fb = melfront.build_filterbank(CFG)
+    for p in (EqParams(mode="lowpass", corner_hz=2900.0),
+              EqParams(mode="highpass", corner_hz=700.0)):
+        np.testing.assert_array_equal(augment.eq_offsets(CFG, p),
+                                      augment.eq_offsets(CFG, p, fb))
+    rows, bin_hz = augment.eq_basis(CFG)
+    assert augment.eq_basis(CFG)[0] is rows
+    assert not rows.flags.writeable and not bin_hz.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+
+
+def test_eq_views_build_the_filterbank_at_most_once(monkeypatch):
+    calls = []
+
+    def counting_build(config):
+        calls.append(config)
+        return melfront.build_filterbank(config)
+
+    monkeypatch.setattr(augment, "build_filterbank", counting_build)
+    augment.eq_basis.cache_clear()
+    x = random_mel(np.random.default_rng(33), frames=300)
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        augment.equalize(x, augment.sample_eq(rng))
+    assert len(calls) == 1     # the cache was cleared, so exactly one build
+    augment.eq_basis.cache_clear()

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from embedloc import cli
@@ -118,3 +119,68 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     import numpy as np
     for name, tensor in params1.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
+
+
+@pytest.mark.parametrize("section", ["train", "mel", "probe"])
+def test_unknown_config_file_key_exits_2(tmp_path, capsys, section):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "paths": {"corpus_dir": str(tmp_path / "corpus")},
+        section: {"bogus": 1}}))
+    assert cli.main(["synth", "--config", str(path)]) == 2
+    assert "%s.bogus" % section in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_config_section_must_stay_a_section(tmp_path):
+    from embedloc.errors import ConfigError
+    path = tmp_path / "c.json"
+    for doc in ({"train": 5}, {"seed": {"x": 1}}, [1, 2]):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            cli.load_config(str(path))
+    with pytest.raises(ConfigError):
+        cli.load_config(overrides=["seed.x=1"])
+
+
+def _out_args(tmp_path):
+    return ["--set", 'paths.output_dir="%s"' % (tmp_path / "out")]
+
+
+def test_train_on_malformed_manifest_exits_3(tmp_path, capsys):
+    features = tmp_path / "out" / "features"
+    features.mkdir(parents=True)
+    (features / "manifest.jsonl").write_text('{"track_id": "x"\n')
+    assert cli.main(["train"] + _out_args(tmp_path)) == 3
+    assert "manifest.jsonl:1" in capsys.readouterr().err
+
+
+def test_embed_on_truncated_checkpoint_tensor_exits_3(tmp_path, capsys):
+    from embedloc.corpus import TrackRecord, write_manifest
+    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    features = tmp_path / "out" / "features"
+    features.mkdir(parents=True)
+    write_manifest(features / "manifest.jsonl",
+                   [TrackRecord("a", "a.emlt", 16.0)])
+    ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
+    params = EncoderParams.init(96, 8, 4, np.random.default_rng(0))
+    save_checkpoint(str(ckpt), params, TrainConfig(), 96, step=0)
+    w1 = ckpt / "w1.emlt"
+    for cut in (12, len(w1.read_bytes()) - 4):
+        save_checkpoint(str(ckpt), params, TrainConfig(), 96, step=0)
+        w1.write_bytes(w1.read_bytes()[:cut])
+        assert cli.main(["embed"] + _out_args(tmp_path)) == 3
+        assert "w1.emlt" in capsys.readouterr().err
+
+
+def test_report_does_not_merge_its_own_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "neighborhood-x.json").write_text(json.dumps({"rows": [1]}))
+    (out / "sweep-x.json").write_text(json.dumps({"rows": [2]}))
+    assert cli.main(["report"] + _out_args(tmp_path)) == 0
+    first = json.loads((out / "report.json").read_text())
+    assert cli.main(["report"] + _out_args(tmp_path)) == 0
+    second = json.loads((out / "report.json").read_text())
+    assert sorted(first["artifacts"]) == ["neighborhood-x.json", "sweep-x.json"]
+    assert second == first

@@ -101,3 +101,21 @@ def test_extract_features_roundtrip(tmp_path, mel_config):
     direct = corpus.load_track_mel(records[0], mel_config, base_dir=wav_dir)
     stored = corpus.load_track_mel(out[0], mel_config, base_dir=feat_dir)
     np.testing.assert_allclose(stored.values, direct.values, atol=1e-5)
+
+
+@pytest.mark.parametrize("line", [
+    '{"track_id": "x"',
+    '{"track_id": "x", "feature_path": "x.wav"}',
+    '{"feature_path": "x.wav", "duration_s": 16.0}',
+    '{"track_id": "x", "duration_s": 16.0}',
+    '["x", "x.wav", 16.0]',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": "long"}',
+])
+def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
+    good = corpus.TrackRecord("a", "a.wav", 16.0)
+    path = tmp_path / "m.jsonl"
+    corpus.write_manifest(path, [good])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + line + "\n")
+    with pytest.raises(DataError, match="m.jsonl:3"):
+        corpus.read_manifest(path)

@@ -35,3 +35,38 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(tensorio.TensorFormatError):
         tensorio.read_tensor(path)
+
+
+def test_format_error_is_a_data_error():
+    from embedloc.errors import DataError
+    assert issubclass(tensorio.TensorFormatError, DataError)
+
+
+@pytest.mark.parametrize("cut", [6, 12, 14, 20])
+def test_truncated_header_raises_data_error(tmp_path, cut):
+    from embedloc.errors import DataError
+    path = tmp_path / "t.emlt"
+    tensorio.write_tensor(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(DataError, match="t.emlt"):
+        tensorio.read_tensor(path)
+
+
+def test_cut_payload_raises_data_error(tmp_path):
+    from embedloc.errors import DataError
+    path = tmp_path / "t.emlt"
+    tensorio.write_tensor(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match="t.emlt"):
+        tensorio.read_tensor(path)
+
+
+def test_header_dims_cannot_size_an_allocation(tmp_path):
+    # a 2**62-element header with no payload fails on the size check,
+    # before any read or allocation of that size
+    import struct
+    path = tmp_path / "huge.emlt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<HHH", 1, 1, 2)
+                     + struct.pack("<2Q", 2 ** 31, 2 ** 31))
+    with pytest.raises(tensorio.TensorFormatError, match="truncated payload"):
+        tensorio.read_tensor(path)
