@@ -27,7 +27,8 @@ from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
                        tag_precision, tag_retrieval)
 from .melfront import MelConfig, build_filterbank
-from .probe import ProbeConfig, acc1, acc2, estimate_tempo, save_probe, train_probe
+from .probe import (ProbeConfig, acc1_hits, acc2_hits, estimate_tempo,
+                    save_probe, train_probe)
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -50,7 +51,9 @@ DEFAULT_CONFIG = {
 
 def _merge_known(base, override, prefix=""):
     """base with override merged in. Every override path must already
-    exist in base, and sections (dicts) may only be merged into sections."""
+    exist in base, sections (dicts) may only be merged into sections, and
+    a leaf keeps the type of the value it replaces (an int may replace a
+    float)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         path = prefix + key
@@ -61,8 +64,12 @@ def _merge_known(base, override, prefix=""):
                               % (path, "" if isinstance(out[key], dict) else "not "))
         if isinstance(value, dict):
             out[key] = _merge_known(out[key], value, path + ".")
-        else:
-            out[key] = copy.deepcopy(value)
+            continue
+        want = type(out[key])
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ConfigError("config path %r must be %s, got %s %r"
+                              % (path, want.__name__, type(value).__name__, value))
+        out[key] = copy.deepcopy(value)
     return out
 
 
@@ -288,12 +295,10 @@ def cmd_probe(config):
     if rows:
         ests = [r["estimate"] for r in rows]
         tru = [r["truth"] for r in rows]
-        a1, a2 = acc1(ests, tru), acc2(ests, tru)
-        for r in rows:
-            r["acc1_hit"] = int(abs(r["estimate"] - r["truth"]) / r["truth"] <= 0.04)
-            r["acc2_hit"] = int(any(
-                abs(r["estimate"] - o * r["truth"]) / (o * r["truth"]) <= 0.04
-                for o in (1 / 3, 0.5, 1.0, 2.0, 3.0)))
+        hit1, hit2 = acc1_hits(ests, tru), acc2_hits(ests, tru)
+        a1, a2 = float(np.mean(hit1)), float(np.mean(hit2))
+        for r, h1, h2 in zip(rows, hit1, hit2):
+            r["acc1_hit"], r["acc2_hit"] = int(h1), int(h2)
         with open(os.path.join(probe_dir, "eval.csv"), "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
                 "track_id", "truth", "estimate", "acc1_hit", "acc2_hit"])
@@ -344,10 +349,6 @@ def build_parser():
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="PATH=VALUE", help="override a config leaf")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count (execution is always deterministic)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded execution")
     return parser
 
 

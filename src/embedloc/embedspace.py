@@ -1,5 +1,5 @@
 """Track embedding extraction, persistence, and exact cosine-distance
-nearest neighbor search."""
+nearest neighbor search from one cached neighbour table per set."""
 
 import json
 import os
@@ -15,7 +15,7 @@ from .errors import DataError, TrackTooShort
 @dataclass
 class EmbeddingSet:
     ids: list
-    matrix: np.ndarray          # (N, D), unit rows, aligned with ids
+    matrix: np.ndarray          # (N, D), unit rows, aligned with ids; read-only
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -23,7 +23,11 @@ class EmbeddingSet:
             raise DataError("duplicate track ids in embedding set")
         if self.matrix.shape[0] != len(self.ids):
             raise DataError("id/matrix length mismatch")
+        # a read-only copy, so the cached neighbour table cannot go stale
+        self.matrix = np.array(self.matrix)
+        self.matrix.flags.writeable = False
         self._index = {tid: i for i, tid in enumerate(self.ids)}
+        self._table = None
 
     @property
     def dim(self):
@@ -32,10 +36,28 @@ class EmbeddingSet:
     def __len__(self):
         return len(self.ids)
 
-    def vector(self, track_id):
+    def index(self, track_id):
         if track_id not in self._index:
             raise DataError("unknown track id %r" % track_id)
-        return self.matrix[self._index[track_id]]
+        return self._index[track_id]
+
+    def vector(self, track_id):
+        return self.matrix[self.index(track_id)]
+
+    def neighbor_table(self):
+        """(order, dist) from `build_neighbor_table`, built on first use."""
+        if self._table is None:
+            self._table = build_neighbor_table(self.matrix, self.ids)
+            for table in self._table:
+                table.flags.writeable = False
+        return self._table
+
+    def neighbors(self, k):
+        """(N, k) row indices of every member's k nearest neighbours: a
+        view of the neighbour table."""
+        if not 0 < k < len(self):
+            raise DataError("k=%d must be in [1, set size %d)" % (k, len(self)))
+        return self.neighbor_table()[0][:, :k]
 
     def save(self, path_prefix):
         tensorio.write_tensor(path_prefix + ".emlt", self.matrix)
@@ -90,14 +112,28 @@ def cosine_distance(a, b):
     return 1.0 - float(np.dot(a, b))
 
 
+def build_neighbor_table(matrix, ids):
+    """Every row's neighbours, nearest first: (order, dist).
+
+    dist is the (N, N) cosine distance matrix with +inf on the diagonal.
+    order is (N, N-1): row i lists every other row by ascending
+    distance, ties broken by ascending id. Equal rows get bit-equal
+    distances because the product runs over the distinct rows only.
+    """
+    unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    dist = 1.0 - (unique @ unique.T)[np.ix_(inverse, inverse)]
+    np.fill_diagonal(dist, np.inf)
+    # a stable sort over id-ordered columns breaks ties by id
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(dist[:, by_id], axis=1, kind="stable")]
+    return order[:, :-1], dist
+
+
 def knn(emb_set: EmbeddingSet, query_id, k):
     """Exact k nearest neighbors by cosine distance, query excluded;
     ties broken by ascending track id."""
-    if k >= len(emb_set):
-        raise DataError("k=%d must be < set size %d" % (k, len(emb_set)))
-    q = emb_set.vector(query_id)
-    dists = 1.0 - emb_set.matrix @ q
-    order = sorted(
-        (i for i, tid in enumerate(emb_set.ids) if tid != query_id),
-        key=lambda i: (dists[i], emb_set.ids[i]))
-    return [(emb_set.ids[i], float(dists[i])) for i in order[:k]]
+    hood = emb_set.neighbors(k)
+    i = emb_set.index(query_id)
+    _, dist = emb_set.neighbor_table()
+    return [(emb_set.ids[j], float(dist[i, j])) for j in hood[i]]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import PitchShiftParams, TimeStretchParams, pitch_shift, time_stretch
-from .embedspace import EmbeddingSet, cosine_distance, embed_track, knn
+from .embedspace import EmbeddingSet, cosine_distance, embed_track
 from .errors import ConfigError, DataError
 
 TEMPO_OCTAVES = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
@@ -82,99 +82,78 @@ def manipulation_sweep(mels, params, kind, grid, window_frames,
 # ---------------------------------------------------------------------------
 # neighborhood metrics
 
-def _bpm_map(records):
-    return {r.track_id: r.bpm for r in records}
+def _labels(emb_set, records, name):
+    """Record attribute `name` per set member, in set order; None for
+    members without a record."""
+    by_id = {r.track_id: getattr(r, name) for r in records}
+    return [by_id.get(tid) for tid in emb_set.ids]
 
 
-def _key_map(records):
-    return {r.track_id: r.key_label for r in records}
-
-
-def _tag_map(records):
-    return {r.track_id: set(r.tags) for r in records}
-
-
-def _neighbor_ids(emb_set, seed_id, k):
-    return [tid for tid, _ in knn(emb_set, seed_id, k)]
+def _tag_matrix(emb_set, records):
+    """(N, T) boolean tag incidence over the tags the set's members carry."""
+    tags = [set(t or ()) for t in _labels(emb_set, records, "tags")]
+    vocab = sorted(set().union(*tags))
+    return np.array([[t in member for t in vocab] for member in tags], dtype=bool)
 
 
 def tempo_rmms(emb_set: EmbeddingSet, records, k):
     """Mean over seeds of sqrt(mean_j min_o (o*bpm_seed - bpm_j)^2),
     octaves o applied to the seed's tempo."""
-    bpm = _bpm_map(records)
-    per_seed = []
-    for seed in emb_set.ids:
-        if bpm.get(seed) is None:
-            continue
-        candidates = [o * bpm[seed] for o in TEMPO_OCTAVES]
-        sq = [min((c - bpm[nb]) ** 2 for c in candidates)
-              for nb in _neighbor_ids(emb_set, seed, k)
-              if bpm.get(nb) is not None]
-        if sq:
-            per_seed.append(np.sqrt(np.mean(sq)))
-    if not per_seed:
+    hood = emb_set.neighbors(k)
+    bpm = np.array([np.nan if b is None else b
+                    for b in _labels(emb_set, records, "bpm")], dtype=float)
+    nb_bpm = bpm[hood]
+    labelled = ~np.isnan(nb_bpm)
+    sq = np.min((np.multiply.outer(bpm, TEMPO_OCTAVES)[:, None, :]
+                 - nb_bpm[:, :, None]) ** 2, axis=2)
+    count = labelled.sum(axis=1)
+    seeds = ~np.isnan(bpm) & (count > 0)
+    if not seeds.any():
         raise DataError("no seeds with tempo labels")
+    per_seed = np.sqrt(np.where(labelled, sq, 0.0).sum(axis=1)[seeds] / count[seeds])
     return float(np.mean(per_seed))
 
 
 def key_precision(emb_set: EmbeddingSet, records, k):
     """Mean over seeds of the fraction of k neighbors sharing the seed's
     key label."""
-    keys = _key_map(records)
-    per_seed = []
-    for seed in emb_set.ids:
-        if keys.get(seed) is None:
-            continue
-        hits = sum(1 for nb in _neighbor_ids(emb_set, seed, k)
-                   if keys.get(nb) == keys[seed])
-        per_seed.append(hits / k)
-    if not per_seed:
+    hood = emb_set.neighbors(k)
+    codes = {}
+    key = np.array([-1 if label is None else codes.setdefault(label, len(codes))
+                    for label in _labels(emb_set, records, "key_label")])
+    seeds = key >= 0
+    if not seeds.any():
         raise DataError("no seeds with key labels")
-    return float(np.mean(per_seed))
+    hits = (key[hood] == key[:, None]).sum(axis=1)
+    return float(np.mean(hits[seeds] / k))
 
 
 def tag_precision(emb_set: EmbeddingSet, records, k):
     """Mean over seeds of (retrieved neighbor tags that the seed also
     carries) / (all retrieved neighbor tags)."""
-    tags = _tag_map(records)
-    per_seed = []
-    for seed in emb_set.ids:
-        seed_tags = tags.get(seed)
-        if not seed_tags:
-            continue
-        retrieved = 0
-        matched = 0
-        for nb in _neighbor_ids(emb_set, seed, k):
-            for t in tags.get(nb, ()):
-                retrieved += 1
-                if t in seed_tags:
-                    matched += 1
-        per_seed.append(matched / retrieved if retrieved else 0.0)
-    if not per_seed:
+    hood = emb_set.neighbors(k)
+    carries = _tag_matrix(emb_set, records)
+    seeds = carries.any(axis=1)
+    if not seeds.any():
         raise DataError("no seeds with tags")
-    return float(np.mean(per_seed))
+    retrieved = carries.sum(axis=1)[hood].sum(axis=1)
+    matched = (carries[hood] & carries[:, None, :]).sum(axis=(1, 2))
+    # a seed whose neighbours carry no tags matched none: it scores 0
+    return float(np.mean(matched[seeds] / np.maximum(retrieved[seeds], 1)))
 
 
 def tag_retrieval(emb_set: EmbeddingSet, records, k):
     """Per tag, the fraction of carrier tracks whose k-neighborhood
     contains another carrier; averaged over tags. Single-carrier tags
     score zero."""
-    tags = _tag_map(records)
-    carriers = {}
-    for tid in emb_set.ids:
-        for t in tags.get(tid, ()):
-            carriers.setdefault(t, []).append(tid)
-    if not carriers:
+    hood = emb_set.neighbors(k)
+    carries = _tag_matrix(emb_set, records)
+    if not carries.size:
         raise DataError("no tags present")
-    neighborhoods = {tid: set(_neighbor_ids(emb_set, tid, k))
-                     for tid in emb_set.ids}
-    per_tag = []
-    for t, members in carriers.items():
-        member_set = set(members)
-        hits = sum(1 for tid in members
-                   if neighborhoods[tid] & (member_set - {tid}))
-        per_tag.append(hits / len(members))
-    return float(np.mean(per_tag))
+    # the table excludes each track itself, so any carrier in its
+    # neighbourhood is another carrier
+    hits = (carries[hood].any(axis=1) & carries).sum(axis=0)
+    return float(np.mean(hits / carries.sum(axis=0)))
 
 
 @dataclass

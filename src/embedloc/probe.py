@@ -11,6 +11,7 @@ import numpy as np
 from . import tensorio
 from .augment import derive_rng
 from .errors import ConfigError, DataError, NumericalError
+from .locality import TEMPO_OCTAVES
 
 BPM_MIN = 30
 BPM_MAX = 300
@@ -18,7 +19,6 @@ NUM_CLASSES = BPM_MAX - BPM_MIN + 1   # 271
 SMOOTHING_TAPS = 15
 
 ACC_TOLERANCE = 0.04
-ACC2_OCTAVES = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
 
 @dataclass
@@ -142,20 +142,31 @@ def estimate_tempo(model: ProbeModel, embedding):
     return BPM_MIN + int(np.argmax(smoothed))
 
 
-def acc1(estimates, truths, tolerance=ACC_TOLERANCE):
-    """Fraction of estimates within +/- tolerance of the true tempo."""
+def acc1_hits(estimates, truths, tolerance=ACC_TOLERANCE):
+    """Per item: is the estimate within +/- tolerance of the true tempo?"""
     est, tru = _check_aligned(estimates, truths)
-    return float(np.mean(np.abs(est - tru) / tru <= tolerance))
+    return np.abs(est - tru) / tru <= tolerance
 
 
-def acc2(estimates, truths, tolerance=ACC_TOLERANCE, octaves=ACC2_OCTAVES):
-    """Like acc1 but against any tempo-octave multiple of the truth."""
+def acc2_hits(estimates, truths, tolerance=ACC_TOLERANCE, octaves=TEMPO_OCTAVES):
+    """Per item: like acc1_hits but against any tempo-octave multiple of
+    the truth."""
     est, tru = _check_aligned(estimates, truths)
     hits = np.zeros(len(est), dtype=bool)
     for o in octaves:
         ref = tru * o
         hits |= np.abs(est - ref) / ref <= tolerance
-    return float(np.mean(hits))
+    return hits
+
+
+def acc1(estimates, truths, tolerance=ACC_TOLERANCE):
+    """Fraction of estimates within +/- tolerance of the true tempo."""
+    return float(np.mean(acc1_hits(estimates, truths, tolerance)))
+
+
+def acc2(estimates, truths, tolerance=ACC_TOLERANCE, octaves=TEMPO_OCTAVES):
+    """Like acc1 but against any tempo-octave multiple of the truth."""
+    return float(np.mean(acc2_hits(estimates, truths, tolerance, octaves)))
 
 
 def _check_aligned(estimates, truths):

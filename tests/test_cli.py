@@ -184,3 +184,33 @@ def test_report_does_not_merge_its_own_report(tmp_path, capsys):
     second = json.loads((out / "report.json").read_text())
     assert sorted(first["artifacts"]) == ["neighborhood-x.json", "sweep-x.json"]
     assert second == first
+
+
+@pytest.mark.parametrize("section,leaf,value", [
+    ("mel", "num_bands", "x"),
+    ("train", "total_steps", 2.5),
+    ("probe", "dropout", "high"),
+    ("metrics", "k_grid", 4),
+    ("corpus", "num_tracks", True),
+])
+def test_wrong_typed_config_leaf_exits_2(tmp_path, capsys, section, leaf, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "paths": {"corpus_dir": str(tmp_path / "corpus"),
+                  "output_dir": str(tmp_path / "out")},
+        section: {leaf: value}}))
+    assert cli.main(["extract", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "%s.%s" % (section, leaf) in err
+    assert "Traceback" not in err
+
+
+def test_int_config_leaf_may_replace_a_float():
+    cfg = cli.load_config(overrides=["corpus.duration_s=12", "train.peak_lr=1"])
+    assert cfg["corpus"]["duration_s"] == 12 and cfg["train"]["peak_lr"] == 1
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--deterministic"]])
+def test_removed_flags_are_unknown_arguments(flag, capsys):
+    assert cli.main(["report"] + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

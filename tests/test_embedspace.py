@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from embedloc import embedspace, encoder, melfront
+from embedloc import corpus, embedspace, encoder, locality, melfront
 from embedloc.embedspace import EmbeddingSet
 from embedloc.errors import DataError, TrackTooShort
 
@@ -103,3 +104,67 @@ def test_cosine_distance_basics():
     assert embedspace.cosine_distance(a, a) == 0.0
     assert embedspace.cosine_distance(a, -a) == 2.0
     assert abs(embedspace.cosine_distance(a, np.array([0.0, 1.0])) - 1.0) < 1e-15
+
+
+@st.composite
+def sets_with_ties(draw):
+    """Unit rows with some exact duplicates, under ids not in index order."""
+    n = draw(st.integers(2, 150))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.standard_normal((n, d))
+    dup_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    dup = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = np.where(np.array(dup)[:, None], base[dup_of], base)
+    ids = ["t%03d" % i for i in rng.permutation(n)]
+    return EmbeddingSet(ids=ids, matrix=unit_rows(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sets_with_ties())
+def test_neighbor_table_matches_plain_sort(es):
+    n = len(es)
+    assert es.neighbor_table()[0].shape == (n, n - 1)
+    for i, (q, qrow) in enumerate(zip(es.ids, es.matrix)):
+        ref = sorted((1.0 - float(np.dot(row, qrow)), tid)
+                     for tid, row in zip(es.ids, es.matrix) if tid != q)
+        ref_rows = [es.index(tid) for _, tid in ref]
+        for k in range(1, n):
+            assert es.neighbors(k)[i].tolist() == ref_rows[:k]
+        got = embedspace.knn(es, q, n - 1)
+        assert [tid for tid, _ in got] == [tid for _, tid in ref]
+        np.testing.assert_allclose([d for _, d in got], [d for d, _ in ref],
+                                   atol=1e-12)
+
+
+def test_neighborhood_report_builds_the_table_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    es = random_set(rng, n=30)
+    records = [corpus.TrackRecord(tid, tid + ".emlt", 20.0,
+                                  bpm=float(rng.integers(60, 181)),
+                                  key_label=corpus.KEY_VOCABULARY[i % 24],
+                                  tags=("x",) if i % 2 else ("x", "y"))
+               for i, tid in enumerate(es.ids)]
+    builds = []
+    real = embedspace.build_neighbor_table
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(embedspace, "build_neighbor_table", counting)
+    locality.compute_neighborhood_report(es, records, [1, 2, 3, 4, 8, 16])
+    embedspace.knn(es, es.ids[0], 29)
+    assert len(builds) == 1
+
+
+def test_matrix_and_table_are_read_only():
+    m = unit_rows(np.random.default_rng(7).standard_normal((6, 3)))
+    es = EmbeddingSet(ids=list("abcdef"), matrix=m)
+    m[0, 0] = 5.0                       # the set keeps its own copy
+    assert es.matrix[0, 0] != 5.0
+    with pytest.raises(ValueError):
+        es.matrix[0, 0] = 5.0
+    for table in es.neighbor_table():
+        with pytest.raises(ValueError):
+            table[0, 0] = 0

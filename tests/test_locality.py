@@ -163,6 +163,50 @@ def test_metrics_require_labels():
         locality.tag_retrieval(es, unlabeled, 2)
 
 
+def test_metrics_skip_missing_labels_like_a_plain_loop():
+    """Seeds without a label, neighbours without a label and tracks
+    without a record are skipped exactly as a per-seed loop skips them."""
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        n = int(rng.integers(4, 40))
+        es = EmbeddingSet(ids=["t%03d" % i for i in rng.permutation(n)],
+                          matrix=unit_rows(rng.standard_normal((n, 4))))
+        by_id = {t: rec(t, bpm=None if rng.uniform() < 0.3 else float(rng.integers(60, 181)),
+                        key=None if rng.uniform() < 0.3
+                        else corpus.KEY_VOCABULARY[rng.integers(0, 24)],
+                        tags=tuple(x for x in "abcd" if rng.uniform() < 0.3))
+                 for t in es.ids if rng.uniform() > 0.15}
+        records = list(by_id.values())
+        k = int(rng.integers(1, n))
+        hood = {s: [nb for nb, _ in embedspace.knn(es, s, k)] for s in es.ids}
+        bpm = {t: by_id[t].bpm if t in by_id else None for t in es.ids}
+        key = {t: by_id[t].key_label if t in by_id else None for t in es.ids}
+        tags = {t: set(by_id[t].tags) if t in by_id else set() for t in es.ids}
+
+        rmms, keyp, tagp, tagr = [], [], [], []
+        for s in es.ids:
+            sq = [min((o * bpm[s] - bpm[nb]) ** 2 for o in locality.TEMPO_OCTAVES)
+                  for nb in hood[s] if bpm[s] is not None and bpm[nb] is not None]
+            if sq:
+                rmms.append(np.sqrt(np.mean(sq)))
+            if key[s] is not None:
+                keyp.append(sum(key[nb] == key[s] for nb in hood[s]) / k)
+            if tags[s]:
+                pool = [t for nb in hood[s] for t in tags[nb]]
+                tagp.append(np.mean([t in tags[s] for t in pool]) if pool else 0.0)
+        for tag in sorted(set().union(*tags.values())):
+            members = [t for t in es.ids if tag in tags[t]]
+            tagr.append(np.mean([any(m in hood[t] for m in members) for t in members]))
+
+        for metric, ref in ((locality.tempo_rmms, rmms), (locality.key_precision, keyp),
+                            (locality.tag_precision, tagp), (locality.tag_retrieval, tagr)):
+            if ref:
+                assert metric(es, records, k) == pytest.approx(np.mean(ref), abs=1e-12)
+            else:
+                with pytest.raises(DataError):
+                    metric(es, records, k)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -82,6 +82,22 @@ def test_acc1_acc2_worked_examples():
     assert probe.acc2(e, t) >= probe.acc1(e, t)
 
 
+def test_hit_vectors_are_per_item_and_average_to_acc():
+    rng = np.random.default_rng(5)
+    truths = rng.uniform(40.0, 200.0, size=200)
+    estimates = truths * rng.choice([1 / 3, 0.5, 0.7, 1.0, 1.02, 2.0, 3.1], size=200)
+    hit1 = probe.acc1_hits(estimates, truths)
+    hit2 = probe.acc2_hits(estimates, truths)
+    assert hit1.dtype == bool and hit1.shape == (200,)
+    assert np.all(hit2[hit1])
+    for e, t, h1, h2 in zip(estimates, truths, hit1, hit2):
+        assert h1 == (abs(e - t) / t <= probe.ACC_TOLERANCE)
+        assert h2 == any(abs(e - o * t) / (o * t) <= probe.ACC_TOLERANCE
+                         for o in (1 / 3, 0.5, 1.0, 2.0, 3.0))
+    assert probe.acc1(estimates, truths) == np.mean(hit1)
+    assert probe.acc2(estimates, truths) == np.mean(hit2)
+
+
 def test_acc_input_validation():
     with pytest.raises(DataError):
         probe.acc1([1.0], [1.0, 2.0])
