@@ -81,14 +81,3 @@ def estimate_root_pitch_class(mel, fmin_hz=450.0, fmax_hz=1100.0):
     freq = float(mel_to_hz(mel_pos))
     return int(np.round(12.0 * np.log2(freq / C4_HZ))) % 12
 
-
-def chroma_profile(mel, fmin_hz=100.0, fmax_hz=4000.0):
-    """Fold time-averaged band power into 12 pitch-class bins."""
-    power = np.mean(10.0 ** mel.values, axis=1)
-    centers_hz = mel_to_hz(band_grid_mel(mel.config)[1:-1])
-    chroma = np.zeros(12)
-    for p, f in zip(power, centers_hz):
-        if fmin_hz <= f <= fmax_hz:
-            pc = int(np.round(12.0 * np.log2(f / C4_HZ))) % 12
-            chroma[pc] += p
-    return chroma

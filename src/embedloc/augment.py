@@ -8,7 +8,7 @@ and may not be combined with them; RRC + EQ is allowed.
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded

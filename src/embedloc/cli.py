@@ -40,8 +40,6 @@ DEFAULT_CONFIG = {
     "probe": ProbeConfig().to_dict(),
     "metrics": {
         "k_grid": [1, 2, 4, 8],
-        "rmms_direction": "seed_octaves",
-        "tag_precision_variant": "multiset",
         "stretch_grid": list(DEFAULT_STRETCH_GRID),
         "pitch_grid": list(DEFAULT_PITCH_GRID),
         "sweep_kind": "time_stretch",
@@ -117,9 +115,7 @@ def config_hash(config):
 
 def _provenance(config, **extra):
     prov = {"config_hash": config_hash(config), "seed": config["seed"],
-            "aug_chain": config["augmentation"]["chain"],
-            "rmms_direction": config["metrics"]["rmms_direction"],
-            "tag_precision_variant": config["metrics"]["tag_precision_variant"]}
+            "aug_chain": config["augmentation"]["chain"]}
     prov.update(extra)
     return prov
 

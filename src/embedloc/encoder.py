@@ -12,7 +12,7 @@ the test suite.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,7 @@ consumers that need normalized rows divide by the row sum.
 """
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,10 @@ from .errors import ConfigError, DataError
 from . import tensorio
 
 HTK_MEL_CONST = 2595.0
+
+# frames per STFT block in compute_mel: each block's complex rfft is
+# about 2 MB at the default dft_size, whatever the track length
+STFT_BLOCK_FRAMES = 128
 
 
 def hz_to_mel(f):
@@ -95,8 +99,14 @@ class MelSpectrogram:
         return self.values.shape[1]
 
     def copy(self, values=None, source_id=None):
+        """A spectrogram with this one's config holding `values` (by
+        default this one's). Values that share memory with this
+        spectrogram's, such as a crop, are copied; a freshly computed
+        array is adopted as it is."""
+        values = self.values if values is None else values
         return MelSpectrogram(
-            values=np.array(self.values if values is None else values),
+            values=(np.array(values) if np.may_share_memory(values, self.values)
+                    else np.asarray(values)),
             config=self.config,
             source_id=self.source_id if source_id is None else source_id,
         )
@@ -137,27 +147,26 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
     return MelFilterbank(weights=weights, band_center_hz=edges_hz[1:-1].copy())
 
 
-def stft_magnitude(pcm, config):
-    """Left-aligned frames, Hann window, |rfft|; returns (K//2+1, M)."""
+def compute_mel(pcm, config: MelConfig, source_id: str = "",
+                filterbank: MelFilterbank | None = None) -> MelSpectrogram:
+    """Log-mel spectrogram log10(max(floor, S @ |STFT|)) of left-aligned,
+    Hann-windowed frames. The STFT runs in blocks of STFT_BLOCK_FRAMES
+    frames, each banded into its columns of the output."""
+    if filterbank is None:
+        filterbank = build_filterbank(config)
     pcm = np.asarray(pcm, dtype=float)
-    n, l = config.window_length, config.hop
+    n, hop = config.window_length, config.hop
     if len(pcm) < n:
         raise DataError("pcm of %d samples is shorter than one window (%d)"
                         % (len(pcm), n))
-    m = (len(pcm) - n) // l + 1
-    idx = np.arange(n)[None, :] + l * np.arange(m)[:, None]
-    frames = pcm[idx] * np.hanning(n)[None, :]
-    return np.abs(np.fft.rfft(frames, n=config.dft_size, axis=1)).T
-
-
-def compute_mel(pcm, config: MelConfig, source_id: str = "",
-                filterbank: MelFilterbank | None = None) -> MelSpectrogram:
-    """Log-mel spectrogram: log10(max(floor, S @ |STFT|))."""
-    if filterbank is None:
-        filterbank = build_filterbank(config)
-    mag = stft_magnitude(pcm, config)
-    banded = filterbank.weights @ mag
-    values = np.log10(np.maximum(config.log_floor, banded))
+    frames = np.lib.stride_tricks.sliding_window_view(pcm, n)[::hop]
+    window = np.hanning(n)
+    values = np.empty((filterbank.num_bands, len(frames)))
+    for start in range(0, len(frames), STFT_BLOCK_FRAMES):
+        block = frames[start:start + STFT_BLOCK_FRAMES] * window
+        mag = np.abs(np.fft.rfft(block, n=config.dft_size, axis=1))
+        values[:, start:start + len(block)] = filterbank.weights @ mag.T
+    np.log10(np.maximum(config.log_floor, values, out=values), out=values)
     return MelSpectrogram(values=values, config=config, source_id=source_id)
 
 
@@ -168,13 +177,17 @@ def log_silence(config):
 
 def load_pcm_wav(path):
     """Mono 16-bit little-endian WAV -> (float samples in [-1, 1), rate)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise DataError("%s: expected mono WAV" % path)
-        if wf.getsampwidth() != 2:
-            raise DataError("%s: expected 16-bit samples" % path)
-        rate = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise DataError("%s: expected mono WAV" % path)
+            if wf.getsampwidth() != 2:
+                raise DataError("%s: expected 16-bit samples" % path)
+            rate = wf.getframerate()
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise DataError("%s: not a readable WAV file: %s"
+                        % (path, str(exc) or "header cut short")) from exc
     pcm = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return pcm, rate
 

@@ -4,7 +4,7 @@ Hamming-window smoothing; scored with Acc1/Acc2."""
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

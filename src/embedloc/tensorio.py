@@ -9,6 +9,7 @@ Layout (all little-endian):
     payload row-major little-endian values
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -28,10 +29,28 @@ class TensorFormatError(DataError):
     pass
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", encoding=None):
+    """Open a new temporary file beside `path` for writing. When the block
+    ends normally the file is moved onto `path` with os.replace; when it
+    raises, the temporary file is removed. Either way no reader ever sees
+    a partly written `path`."""
+    path = os.fspath(path)
+    tmp = "%s.%s.tmp" % (path, os.urandom(6).hex())
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_tensor(path, array):
-    """Write a numpy array to an EMLT file (stored as float32)."""
+    """Write a numpy array to an EMLT file (stored as float32), atomically."""
     arr = np.ascontiguousarray(array, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HHH", VERSION, DTYPE_F32, arr.ndim))
         fh.write(struct.pack("<%dQ" % arr.ndim, *arr.shape))

@@ -214,3 +214,12 @@ def test_int_config_leaf_may_replace_a_float():
 def test_removed_flags_are_unknown_arguments(flag, capsys):
     assert cli.main(["report"] + flag) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rmms_direction", "tag_precision_variant"])
+def test_removed_metric_keys_are_unknown_config_paths(key):
+    from embedloc.errors import ConfigError
+    with pytest.raises(ConfigError, match="unknown config path"):
+        cli.load_config(overrides=["metrics.%s=x" % key])
+    prov = cli._provenance(cli.load_config())
+    assert key not in prov and "config_hash" in prov

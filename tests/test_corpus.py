@@ -1,3 +1,7 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -119,3 +123,140 @@ def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
         fh.write("\n" + line + "\n")
     with pytest.raises(DataError, match="m.jsonl:3"):
         corpus.read_manifest(path)
+
+
+def serial_corpus(out_dir, num_tracks, seed, duration_s, rate=16000,
+                  test_fraction=0.25):
+    """Reference: one plain loop over synthesize_track + write_pcm_wav."""
+    os.makedirs(out_dir)
+    rng = derive_rng(seed, "corpus")
+    bpm_grid = np.linspace(60, 180, 25).round().astype(int)
+    bpm_order = rng.permutation(len(bpm_grid))
+    records = []
+    for i in range(num_tracks):
+        bpm = int(bpm_grid[bpm_order[i % len(bpm_grid)]])
+        key = corpus.KEY_VOCABULARY[i % len(corpus.KEY_VOCABULARY)]
+        timbre = corpus.TIMBRE_TAGS[i % len(corpus.TIMBRE_TAGS)]
+        track_rng = derive_rng(seed, "track", i)
+        pcm = corpus.synthesize_track(bpm, key, timbre, duration_s, rate, track_rng)
+        track_id = "synth-%04d" % i
+        melfront.write_pcm_wav(os.path.join(out_dir, track_id + ".wav"), pcm, rate)
+        split = "test" if track_rng.uniform() < test_fraction else "train"
+        records.append(corpus.TrackRecord(
+            track_id, track_id + ".wav", duration_s, bpm=float(bpm), key_label=key,
+            tags=(timbre, "dense-rhythm" if bpm >= 120 else "sparse-rhythm"),
+            split=split))
+    corpus.write_manifest(os.path.join(out_dir, "manifest.jsonl"), records)
+    return records
+
+
+def serial_features(records, config, base_dir, out_dir):
+    """Reference: one plain loop over load_track_mel + save."""
+    os.makedirs(out_dir)
+    out = []
+    for rec in records:
+        corpus.load_track_mel(rec, config, base_dir=base_dir).save(
+            os.path.join(out_dir, rec.track_id + ".emlt"))
+        out.append(corpus.TrackRecord.from_dict(
+            dict(rec.to_dict(), feature_path=rec.track_id + ".emlt")))
+    corpus.write_manifest(os.path.join(out_dir, "manifest.jsonl"), out)
+    return out
+
+
+def dir_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_threaded_synth_and_extract_match_a_serial_loop(tmp_path, mel_config,
+                                                        monkeypatch):
+    # more worker threads than cores, switching threads as often as possible
+    monkeypatch.setattr(corpus, "usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = corpus.generate_synthetic_corpus(
+            str(tmp_path / "wav"), 12, seed=4, duration_s=2.5)
+        corpus.extract_features(threaded, mel_config, str(tmp_path / "wav"),
+                                str(tmp_path / "feat"))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = serial_corpus(str(tmp_path / "wav-ref"), 12, seed=4, duration_s=2.5)
+    serial_features(serial, mel_config, str(tmp_path / "wav-ref"),
+                    str(tmp_path / "feat-ref"))
+    for got, want in (("wav", "wav-ref"), ("feat", "feat-ref")):
+        got, want = dir_bytes(tmp_path / got), dir_bytes(tmp_path / want)
+        assert sorted(got) == sorted(want)
+        assert len(got) == 13   # 12 tracks and the manifest
+        for name in want:
+            assert got[name] == want[name], name
+
+
+def test_map_tracks_keeps_order_and_raises_the_first_failure_in_order():
+    ended = []
+
+    def fn(i):
+        if i == 2:
+            time.sleep(0.2)          # fails after item 5 has failed
+            raise KeyError("item 2")
+        if i == 5:
+            raise ValueError("item 5")
+        time.sleep(0.02)
+        ended.append(i)
+        return i * i
+    assert corpus.map_tracks(lambda i: i * i, range(20)) == [i * i for i in range(20)]
+    assert corpus.map_tracks(fn, []) == []
+    with pytest.raises(KeyError, match="item 2"):
+        corpus.map_tracks(fn, range(100))
+    # items not started when item 2 failed were cancelled, and none is
+    # still running once map_tracks has raised
+    count = len(ended)
+    assert count < 90
+    time.sleep(0.1)
+    assert len(ended) == count
+
+
+def test_manifest_write_that_fails_partway_leaves_nothing(tmp_path):
+    good = corpus.TrackRecord("a", "a.wav", 16.0)
+    bad = corpus.TrackRecord("b", "b.wav", 16.0, tags=(object(),))
+    path = tmp_path / "manifest.jsonl"
+    with pytest.raises(TypeError):
+        corpus.write_manifest(path, [good, good, bad, good])
+    assert os.listdir(tmp_path) == []
+    corpus.write_manifest(path, [good])
+    with pytest.raises(TypeError):
+        corpus.write_manifest(path, [good, bad])
+    assert os.listdir(tmp_path) == ["manifest.jsonl"]
+    assert [r.to_dict() for r in corpus.read_manifest(path)] == [good.to_dict()]
+
+
+def test_pair_segments_do_not_alias_the_track():
+    cfg = melfront.MelConfig()
+    values = np.random.default_rng(8).uniform(-3, 1, size=(cfg.num_bands, 1600))
+    mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="t")
+    pair = corpus.sample_pair(corpus.TrackRecord("t", "t.emlt", 16.0), mel,
+                              AugmentationSpec(), derive_rng(9, "pair"))
+    anchor = pair.anchor.values.copy()
+    mel.values[:] = 0.0
+    np.testing.assert_array_equal(pair.anchor.values, anchor)
+
+
+def test_extract_with_an_unreadable_wav_exits_3_and_writes_no_manifest(
+        tmp_path, capsys):
+    from embedloc import cli, tensorio
+    sets = ["--set", "paths.corpus_dir=%s" % (tmp_path / "corpus"),
+            "--set", "paths.output_dir=%s" % (tmp_path / "out"),
+            "--set", "corpus.num_tracks=8", "--set", "corpus.duration_s=2.0"]
+    assert cli.main(["synth"] + sets) == 0
+    (tmp_path / "corpus" / "synth-0002.wav").write_bytes(b"RIFF\x00\x00")
+    capsys.readouterr()
+    assert cli.main(["extract"] + sets) == 3
+    err = capsys.readouterr().err
+    assert "synth-0002.wav" in err and "Traceback" not in err
+    features = tmp_path / "out" / "features"
+    names = os.listdir(features)
+    assert "manifest.jsonl" not in names
+    assert all(name.endswith(".emlt") for name in names)
+    assert "synth-0002.emlt" not in names
+    for name in names:   # whatever was written is complete
+        assert tensorio.read_tensor(features / name).shape[0] == 96
+

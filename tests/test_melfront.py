@@ -136,3 +136,64 @@ def test_mel_spectrogram_persistence(tmp_path):
     mel.save(path)
     back = melfront.MelSpectrogram.load(path, cfg, source_id="t0")
     np.testing.assert_allclose(back.values, mel.values, atol=1e-6)
+
+
+def reference_log_mel(pcm, cfg, filterbank):
+    """Independent STFT oracle: an explicit float64 cos/sin DFT matrix
+    (angles reduced exactly modulo dft_size) applied frame by frame,
+    with no numpy FFT, then the filterbank product and the log floor."""
+    n, k = cfg.window_length, cfg.dft_size
+    bins = np.arange(k // 2 + 1)[:, None]
+    angle = 2.0 * np.pi * ((bins * np.arange(n)[None, :]) % k) / k
+    cos, sin = np.cos(angle), np.sin(angle)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    frames = (len(pcm) - n) // cfg.hop + 1
+    out = np.empty((filterbank.num_bands, frames))
+    for m in range(frames):
+        x = pcm[m * cfg.hop:m * cfg.hop + n] * hann
+        mag = np.sqrt((cos @ x) ** 2 + (sin @ x) ** 2)
+        out[:, m] = filterbank.weights @ mag
+    return np.log10(np.maximum(cfg.log_floor, out))
+
+
+@pytest.mark.parametrize("frames", sorted({
+    1, 255, 256, 257, 1398, melfront.STFT_BLOCK_FRAMES - 1,
+    melfront.STFT_BLOCK_FRAMES, melfront.STFT_BLOCK_FRAMES + 1}))
+def test_blocked_stft_matches_explicit_dft(frames):
+    cfg = melfront.MelConfig()
+    fb = melfront.build_filterbank(cfg)
+    rng = np.random.default_rng(frames)
+    pcm = 0.3 * rng.standard_normal(cfg.window_length + cfg.hop * (frames - 1))
+    pcm[:cfg.hop] = 0.0   # the first frame is partly silent
+    got = melfront.compute_mel(pcm, cfg, filterbank=fb).values
+    want = reference_log_mel(pcm, cfg, fb)
+    assert got.shape == want.shape == (cfg.num_bands, frames)
+    live = want > np.log10(cfg.log_floor)
+    assert live.mean() > 0.99
+    np.testing.assert_array_equal(got[~live], want[~live])
+    assert np.max(np.abs(got[live] - want[live])) <= 1e-9
+
+
+def test_copy_adopts_fresh_values_and_copies_views():
+    cfg = melfront.MelConfig()
+    source = melfront.MelSpectrogram(
+        values=np.random.default_rng(7).standard_normal((cfg.num_bands, 50)),
+        config=cfg, source_id="s")
+    fresh = source.values * 2.0
+    assert source.copy(values=fresh).values is fresh
+    crop = source.copy(values=source.values[:, 10:20])
+    assert not np.may_share_memory(crop.values, source.values)
+    whole = source.copy()
+    assert not np.may_share_memory(whole.values, source.values)
+    kept = crop.values.copy()
+    source.values[:] = 0.0
+    np.testing.assert_array_equal(crop.values, kept)
+    assert whole.source_id == "s" and source.copy(source_id="t").source_id == "t"
+
+
+def test_unreadable_wav_is_a_data_error(tmp_path):
+    path = tmp_path / "t.wav"
+    for blob in (b"", b"RIFF", b"not a wav file at all"):
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="t.wav"):
+            melfront.load_pcm_wav(path)

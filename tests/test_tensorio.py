@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,43 @@ def test_header_dims_cannot_size_an_allocation(tmp_path):
                      + struct.pack("<2Q", 2 ** 31, 2 ** 31))
     with pytest.raises(tensorio.TensorFormatError, match="truncated payload"):
         tensorio.read_tensor(path)
+
+
+def test_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
+    class FailingFile:
+        """Writes the first chunk, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = open
+    monkeypatch.setattr(tensorio, "open",
+                        lambda *a, **k: FailingFile(real_open(*a, **k)),
+                        raising=False)
+    path = tmp_path / "a.emlt"
+    with pytest.raises(OSError, match="No space"):
+        tensorio.write_tensor(path, np.ones((3, 4)))
+    assert os.listdir(tmp_path) == []
+    # an existing file stays as it was
+    monkeypatch.undo()
+    tensorio.write_tensor(path, np.zeros(5))
+    monkeypatch.setattr(tensorio, "open",
+                        lambda *a, **k: FailingFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        tensorio.write_tensor(path, np.ones((3, 4)))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["a.emlt"]
+    np.testing.assert_array_equal(tensorio.read_tensor(path), np.zeros(5))
