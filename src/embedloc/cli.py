@@ -21,7 +21,8 @@ from .augment import AugmentationSpec
 from .corpus import (extract_features, generate_synthetic_corpus,
                      load_track_mel, read_manifest)
 from .embedspace import EmbeddingSet, build_embedding_set
-from .encoder import TrainConfig, load_checkpoint, save_checkpoint, train
+from .encoder import (TrainConfig, feature_dim, load_checkpoint,
+                      save_checkpoint, train)
 from .errors import ConfigError, DataError, EmbedlocError, NumericalError
 from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
@@ -156,6 +157,22 @@ def _checkpoint_dir(config):
                         _artifact_id(config))
 
 
+def _load_checkpoint(config):
+    """The run's encoder parameters, once the checkpoint is known to match
+    the configured mel bands."""
+    path = _checkpoint_dir(config)
+    params, _, header = load_checkpoint(path)
+    bands = config["mel"]["num_bands"]
+    if (header.get("num_bands") != bands or params.w1.ndim != 2
+            or params.w1.shape[1] != feature_dim(bands)):
+        raise DataError(
+            "checkpoint %s was trained on %r mel bands (w1 %s), but mel.num_bands"
+            " is %d (feature dim %d)" % (path, header.get("num_bands"),
+                                         "x".join(map(str, params.w1.shape)),
+                                         bands, feature_dim(bands)))
+    return params
+
+
 def _embedding_prefix(config):
     d = os.path.join(config["paths"]["output_dir"], "embeddings")
     os.makedirs(d, exist_ok=True)
@@ -209,7 +226,7 @@ def cmd_train(config):
 
 def cmd_embed(config):
     records, _ = _feature_manifest(config)
-    params, _, header = load_checkpoint(_checkpoint_dir(config))
+    params = _load_checkpoint(config)
     mels = _load_mels(records, config)
     emb = build_embedding_set(
         mels, params, _window_frames(config),
@@ -221,7 +238,7 @@ def cmd_embed(config):
 
 def cmd_sweep(config):
     records, _ = _feature_manifest(config)
-    params, _, _ = load_checkpoint(_checkpoint_dir(config))
+    params = _load_checkpoint(config)
     kind = config["metrics"]["sweep_kind"]
     grid = (config["metrics"]["stretch_grid"] if kind == "time_stretch"
             else config["metrics"]["pitch_grid"])

@@ -76,12 +76,12 @@ def read_manifest(path):
     """Read a JSON-lines manifest; a bad line raises DataError naming
     path:line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise DataError("expected a JSON object")
@@ -89,7 +89,8 @@ def read_manifest(path):
                 if missing:
                     raise DataError("missing field(s) %s" % ", ".join(missing))
                 records.append(TrackRecord.from_dict(d))
-            except (ValueError, TypeError, DataError) as exc:
+            except (ValueError, TypeError, OverflowError, RecursionError,
+                    DataError) as exc:
                 raise DataError("%s:%d: %s" % (path, lineno, exc)) from exc
     return records
 

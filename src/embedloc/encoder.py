@@ -10,8 +10,6 @@ analytic; the loss gradient is checked against finite differences in
 the test suite.
 """
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +56,11 @@ class TrainConfig:
 ENVELOPE_LAGS = np.unique(np.round(
     np.geomspace(8, 128, 24)).astype(int))   # frames, log-spaced
 
+# views per block in pool_features' frame-difference pass: at the
+# defaults the block (4 x 96 x 300 float64) and its difference buffer
+# take 0.9 MB each, so both stay in a 2 MB L2 cache
+POOL_BLOCK_VIEWS = 4
+
 
 def pool_features(batch_values):
     """Fixed temporal pooling of (B, U, M) patches to (B, 2U + L).
@@ -71,7 +74,17 @@ def pool_features(batch_values):
     if x.ndim == 2:
         x = x[None]
     mean = x.mean(axis=2)
-    diff = np.abs(np.diff(x, axis=2)).mean(axis=2)
+    # |frame difference| a few views at a time into one small buffer laid
+    # out like x: each row is summed in the same order as in
+    # np.abs(np.diff(x, axis=2)).mean(axis=2), so the result is bitwise equal
+    diff = np.empty(x.shape[:2])
+    buf = np.empty_like(x[:POOL_BLOCK_VIEWS, :, 1:])
+    for start in range(0, len(x), POOL_BLOCK_VIEWS):
+        part = x[start:start + POOL_BLOCK_VIEWS]
+        d = buf[:len(part)]
+        np.subtract(part[:, :, 1:], part[:, :, :-1], out=d)
+        np.abs(d, out=d)
+        d.mean(axis=2, out=diff[start:start + len(part)])
     env = x.mean(axis=1)
     env = env - env.mean(axis=1, keepdims=True)
     m = env.shape[1]
@@ -178,6 +191,16 @@ def usable_train_tracks(records, aug_spec: AugmentationSpec):
     return [r for r in records if r.split == "train" and r.duration_s >= minimum]
 
 
+def _stack_buffer(view, n):
+    """An empty float64 (n,) + view.shape buffer laid out as np.stack lays
+    out n views like `view`: a column-major view (time stretch leaves one)
+    gives column-major rows. Pooling sums in memory order, so the layout
+    keeps its result equal to that of the stacked views."""
+    if view.flags.f_contiguous and not view.flags.c_contiguous:
+        return np.empty((n,) + view.shape[::-1]).transpose(0, 2, 1)
+    return np.empty((n,) + view.shape)
+
+
 def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
           mel_config, base_dir="", mel_cache=None, loss_hook=None):
     """SGD over NT-Xent on augmented local pairs; single-threaded and
@@ -200,10 +223,12 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
                                 config.embedding_dim, init_rng)
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     losses = []
+    # every step's views are written into one buffer, view vi of pair i
+    # at row 2i + vi; encode's cache keeps only the pooled features
+    batch = None
     for step in range(config.total_steps):
         step_rng = derive_rng(seed, "step", step)
         picks = step_rng.integers(0, len(tracks), size=config.batch_pairs)
-        views = []
         for i, ti in enumerate(picks):
             rec = tracks[ti]
             pair = sample_pair(rec, mel_cache[rec.track_id], aug_spec,
@@ -211,8 +236,10 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
             for vi, seg in enumerate((pair.anchor, pair.positive)):
                 out = apply_chain(seg, aug_spec,
                                   rng=derive_rng(seed, "augment", step, i, vi))
-                views.append(out.values)
-        z, cache = encode(params, np.stack(views), return_cache=True)
+                if batch is None:
+                    batch = _stack_buffer(out.values, 2 * config.batch_pairs)
+                batch[2 * i + vi] = out.values
+        z, cache = encode(params, batch, return_cache=True)
         loss, dz = ntxent_loss(z, config.temperature)
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss at step %d" % step)
@@ -232,25 +259,15 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
 
 def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
                     num_bands, step, extra=None):
-    os.makedirs(path, exist_ok=True)
-    header = {"tensors": {}, "config": config.to_dict(),
-              "num_bands": num_bands, "step": step,
-              "seed": config.rng_seed}
-    if extra:
-        header.update(extra)
-    for name, tensor in params.tensors().items():
-        fname = name + ".emlt"
-        tensorio.write_tensor(os.path.join(path, fname), tensor)
-        header["tensors"][name] = {"file": fname, "dims": list(tensor.shape)}
-    with open(os.path.join(path, "header.json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
+    header = {"config": config.to_dict(), "num_bands": num_bands,
+              "step": step, "seed": config.rng_seed}
+    header.update(extra or {})
+    tensorio.save_params(path, params.tensors(), header)
 
 
 def load_checkpoint(path):
-    with open(os.path.join(path, "header.json"), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    tensors = {name: tensorio.read_tensor(os.path.join(path, meta["file"])).astype(float)
-               for name, meta in header["tensors"].items()}
-    params = EncoderParams(**tensors)
-    config = TrainConfig.from_dict(header["config"])
-    return params, config, header
+    tensors, header = tensorio.load_params(path)
+    try:
+        return EncoderParams(**tensors), TrainConfig.from_dict(header["config"]), header
+    except (KeyError, TypeError) as exc:
+        raise DataError("checkpoint %s: bad header: %r" % (path, exc))

@@ -116,8 +116,13 @@ class MelSpectrogram:
 
     @classmethod
     def load(cls, path, config, source_id=""):
-        return cls(values=tensorio.read_tensor(path).astype(float),
-                   config=config, source_id=source_id)
+        values = tensorio.read_tensor(path)
+        if values.ndim != 2 or values.shape[0] != config.num_bands:
+            raise DataError("%s holds a %s tensor, not %d mel bands by frames"
+                            % (path, "x".join(map(str, values.shape)),
+                               config.num_bands))
+        return cls(values=values.astype(float), config=config,
+                   source_id=source_id)
 
 
 def band_grid_mel(config):

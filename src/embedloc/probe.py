@@ -2,8 +2,6 @@
 (30..300), one 512-unit hidden layer with 75% dropout, argmax after
 Hamming-window smoothing; scored with Acc1/Acc2."""
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,22 +178,14 @@ def _check_aligned(estimates, truths):
 
 
 def save_probe(path, model: ProbeModel, config: ProbeConfig, extra=None):
-    os.makedirs(path, exist_ok=True)
-    header = {"tensors": {}, "config": config.to_dict(),
-              "bpm_min": BPM_MIN, "bpm_max": BPM_MAX}
-    if extra:
-        header.update(extra)
-    for name, tensor in model.tensors().items():
-        fname = name + ".emlt"
-        tensorio.write_tensor(os.path.join(path, fname), tensor)
-        header["tensors"][name] = {"file": fname, "dims": list(tensor.shape)}
-    with open(os.path.join(path, "header.json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
+    header = {"config": config.to_dict(), "bpm_min": BPM_MIN, "bpm_max": BPM_MAX}
+    header.update(extra or {})
+    tensorio.save_params(path, model.tensors(), header)
 
 
 def load_probe(path):
-    with open(os.path.join(path, "header.json"), "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    tensors = {name: tensorio.read_tensor(os.path.join(path, meta["file"])).astype(float)
-               for name, meta in header["tensors"].items()}
-    return ProbeModel(**tensors), ProbeConfig.from_dict(header["config"]), header
+    tensors, header = tensorio.load_params(path)
+    try:
+        return ProbeModel(**tensors), ProbeConfig.from_dict(header["config"]), header
+    except (KeyError, TypeError) as exc:
+        raise DataError("probe %s: bad header: %r" % (path, exc))

@@ -1,4 +1,5 @@
-"""EMLT binary tensor files.
+"""EMLT binary tensor files, and parameter sets (a directory of named
+EMLT tensors plus a JSON header) built from them.
 
 Layout (all little-endian):
     magic   4 bytes  b"EMLT"
@@ -10,6 +11,7 @@ Layout (all little-endian):
 """
 
 import contextlib
+import json
 import math
 import os
 import struct
@@ -85,4 +87,41 @@ def read_tensor(path):
             raise TensorFormatError(
                 "truncated payload in %s: dims %s need %d bytes, %d remain"
                 % (path, list(dims), size, remaining))
-        return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).copy()
+        try:
+            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:   # too many dims, or a zero-size shape numpy rejects
+            raise TensorFormatError("dims %s in %s: %s" % (list(dims), path, exc))
+
+
+def save_params(path, tensors, header):
+    """Write a parameter set to directory `path`: one EMLT file per named
+    tensor, then `header.json` holding `header` under a "tensors" index
+    of file names and dims."""
+    os.makedirs(path, exist_ok=True)
+    index = {}
+    for name, tensor in tensors.items():
+        fname = name + ".emlt"
+        write_tensor(os.path.join(path, fname), tensor)
+        index[name] = {"file": fname, "dims": list(tensor.shape)}
+    with atomic_write(os.path.join(path, "header.json"), "w",
+                      encoding="utf-8") as fh:
+        json.dump(dict({"tensors": index}, **header), fh, indent=2)
+
+
+def load_params(path):
+    """Read a parameter set written by save_params: (tensors as float64
+    arrays by name, header)."""
+    header_path = os.path.join(path, "header.json")
+    with open(header_path, "r", encoding="utf-8") as fh:
+        try:
+            header = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # includes bad UTF-8
+            raise DataError("%s is not valid JSON: %s" % (header_path, exc))
+    index = header.get("tensors") if isinstance(header, dict) else None
+    if not (isinstance(index, dict) and all(
+            isinstance(meta, dict) and isinstance(meta.get("file"), str)
+            for meta in index.values())):
+        raise DataError("%s has no valid tensor index" % header_path)
+    tensors = {name: read_tensor(os.path.join(path, meta["file"])).astype(float)
+               for name, meta in index.items()}
+    return tensors, header

@@ -223,3 +223,57 @@ def test_removed_metric_keys_are_unknown_config_paths(key):
         cli.load_config(overrides=["metrics.%s=x" % key])
     prov = cli._provenance(cli.load_config())
     assert key not in prov and "config_hash" in prov
+
+
+def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None):
+    """A one-track feature set with `feature_bands` mel bands and a
+    checkpoint whose header says `ckpt_bands` and whose w1 is sized for
+    `w1_bands` (default: the same)."""
+    from embedloc import tensorio
+    from embedloc.corpus import TrackRecord, write_manifest
+    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    features = tmp_path / "out" / "features"
+    features.mkdir(parents=True)
+    write_manifest(features / "manifest.jsonl",
+                   [TrackRecord("a", "a.emlt", 16.0, split="test")])
+    rng = np.random.default_rng(0)
+    tensorio.write_tensor(features / "a.emlt",
+                          rng.uniform(-4, 1, size=(feature_bands, 1600)))
+    ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
+    params = EncoderParams.init(w1_bands or ckpt_bands, 8, 4, rng)
+    save_checkpoint(str(ckpt), params, TrainConfig(), ckpt_bands, step=0)
+    return ckpt
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+@pytest.mark.parametrize("ckpt_bands,w1_bands", [(96, 96), (64, 96), (96, 64)])
+def test_checkpoint_with_other_mel_bands_exits_3(tmp_path, capsys, command,
+                                                 ckpt_bands, w1_bands):
+    # the features match the checkpoint's 96 bands; the config asks for 64
+    bands = 64 if (ckpt_bands, w1_bands) == (96, 96) else 96
+    _features_and_checkpoint(tmp_path, 96, ckpt_bands, w1_bands)
+    code = cli.main([command, "--set", "mel.num_bands=%d" % bands]
+                    + _out_args(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "checkpoints/none-s0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "embeddings" / "none-s0.json").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_features_with_other_mel_bands_exit_3(tmp_path, capsys, command):
+    # checkpoint and config agree on 64 bands; the features hold 96
+    _features_and_checkpoint(tmp_path, 96, 64)
+    code = cli.main([command, "--set", "mel.num_bands=64"] + _out_args(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "a.emlt" in err and "64" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_matching_mel_bands_run(tmp_path, capsys, command):
+    _features_and_checkpoint(tmp_path, 64, 64)
+    assert cli.main([command, "--set", "mel.num_bands=64"] + _out_args(tmp_path)) == 0
+    capsys.readouterr()

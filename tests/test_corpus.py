@@ -1,9 +1,11 @@
+import json
 import os
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from embedloc import analysis, corpus, melfront
 from embedloc.augment import AugmentationSpec, derive_rng
@@ -260,3 +262,51 @@ def test_extract_with_an_unreadable_wav_exits_3_and_writes_no_manifest(
     for name in names:   # whatever was written is complete
         assert tensorio.read_tensor(features / name).shape[0] == 96
 
+
+
+# ---------------------------------------------------------------------------
+# fuzzing read_manifest: any line yields a record or a DataError
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+record_fields = st.sampled_from(["track_id", "feature_path", "duration_s", "bpm",
+                                 "key_label", "tags", "split"])
+record_like = st.dictionaries(record_fields | st.text(max_size=4),
+                              json_values | st.sampled_from(
+                                  ["C:maj", "train", "test", 120.0, 16.0]),
+                              max_size=8).map(json.dumps)
+manifest_lines = st.lists(
+    record_like | st.text(max_size=40)
+    | st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=manifest_lines, raw=st.binary(max_size=24))
+def test_fuzz_read_manifest_raises_only_data_error(tmp_path, lines, raw):
+    path = tmp_path / "m.jsonl"
+    for data in ("\n".join(lines).encode("utf-8", "surrogatepass"), raw):
+        path.write_bytes(data)
+        try:
+            records = corpus.read_manifest(path)
+        except DataError as exc:
+            assert "m.jsonl:" in str(exc)
+        else:
+            assert all(isinstance(r, corpus.TrackRecord) for r in records)
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe not utf-8\n",
+    b"[" * 100000 + b"\n",
+    b'{"track_id": "x", "feature_path": "x.emlt", "duration_s": 1' + b"0" * 400 + b"}\n",
+], ids=["not-utf8", "deep-nesting", "float-overflow"])
+def test_manifest_lines_that_escaped_as_other_errors(tmp_path, data):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b'{"track_id": "a", "feature_path": "a.wav", "duration_s": 16.0}\n'
+                     + data)
+    with pytest.raises(DataError, match="m.jsonl:2"):
+        corpus.read_manifest(path)

@@ -1,8 +1,13 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from embedloc import encoder, melfront
-from embedloc.augment import AugmentationSpec, TimeStretchParams, time_stretch
+from embedloc.augment import (AugmentationSpec, TimeStretchParams, apply_chain,
+                              derive_rng, time_stretch)
+from embedloc.corpus import TrackRecord, sample_pair
 from embedloc.encoder import EncoderParams, TrainConfig
 from embedloc.errors import ConfigError, DataError
 
@@ -126,6 +131,147 @@ def test_pooling_is_sensitive_to_time_stretch():
     assert np.linalg.norm(fa - fb) > 0.1
 
 
+def reference_pool_features(batch_values):
+    """Pooling written with whole-batch temporaries, as a plain reference."""
+    x = np.asarray(batch_values, dtype=float)
+    if x.ndim == 2:
+        x = x[None]
+    mean = x.mean(axis=2)
+    diff = np.abs(np.diff(x, axis=2)).mean(axis=2)
+    env = x.mean(axis=1)
+    env = env - env.mean(axis=1, keepdims=True)
+    m = env.shape[1]
+    power = np.maximum(np.sum(env * env, axis=1), 1e-12)
+    lags = encoder.ENVELOPE_LAGS[encoder.ENVELOPE_LAGS < m]
+    ac = np.zeros((x.shape[0], len(encoder.ENVELOPE_LAGS)))
+    for j, lag in enumerate(lags):
+        ac[:, j] = np.sum(env[:, lag:] * env[:, :m - lag], axis=1) / power
+    return np.concatenate([mean, 16.0 * diff, 24.0 * ac], axis=1)
+
+
+BLOCK = encoder.POOL_BLOCK_VIEWS
+
+
+@pytest.mark.parametrize("views", [1, BLOCK - 1, BLOCK, BLOCK + 1, 128])
+@pytest.mark.parametrize("frames", [2, 300])
+def test_pool_features_equals_the_plain_reference_bitwise(views, frames):
+    rng = np.random.default_rng(views * 1000 + frames)
+    x = rng.uniform(-4, 1, size=(views, 96, frames))
+    # row-major views, column-major views stacked (as time-stretched views
+    # are), and float32 input
+    column_major = np.stack([np.asfortranarray(v) for v in x])
+    for batch in (x, column_major, x.astype(np.float32)):
+        np.testing.assert_array_equal(encoder.pool_features(batch),
+                                      reference_pool_features(batch))
+    np.testing.assert_array_equal(encoder.pool_features(x[0]),
+                                  reference_pool_features(x[0]))
+
+
+def test_pool_features_returns_a_fresh_array_each_call():
+    rng = np.random.default_rng(6)
+    a_in, b_in = rng.uniform(-4, 1, size=(2, 2 * BLOCK + 1, 96, 300))
+    a = encoder.pool_features(a_in)
+    kept = a.copy()
+    b = encoder.pool_features(b_in)
+    assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(a, kept)
+    np.testing.assert_array_equal(b, reference_pool_features(b_in))
+
+
+def test_pool_features_allocates_no_batch_sized_temporary():
+    x = np.random.default_rng(7).uniform(-4, 1, size=(128, 96, 300))
+    batch_mb = x.nbytes / 1e6   # 29.5 MB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        encoder.pool_features(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < 8.0 < batch_mb
+
+
+def reference_train(records, spec, config, mel_config, mel_cache):
+    """The training loop written plainly: views collected in a list,
+    np.stack'ed, and pooled by the reference above."""
+    tracks = encoder.usable_train_tracks(records, spec)
+    seed = config.rng_seed
+    params = EncoderParams.init(mel_config.num_bands, config.hidden_units,
+                                config.embedding_dim, derive_rng(seed, "init"))
+    velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+    losses = []
+    for step in range(config.total_steps):
+        picks = derive_rng(seed, "step", step).integers(
+            0, len(tracks), size=config.batch_pairs)
+        views = []
+        for i, ti in enumerate(picks):
+            rec = tracks[ti]
+            pair = sample_pair(rec, mel_cache[rec.track_id], spec,
+                               derive_rng(seed, "pair", step, i))
+            for vi, seg in enumerate((pair.anchor, pair.positive)):
+                views.append(apply_chain(
+                    seg, spec, rng=derive_rng(seed, "augment", step, i, vi)).values)
+        pooled = reference_pool_features(np.stack(views))
+        h = np.tanh(pooled @ params.w1.T + params.b1)
+        e = h @ params.w2.T + params.b2
+        norms = np.linalg.norm(e, axis=1, keepdims=True)
+        loss, dz = encoder.ntxent_loss(e / norms, config.temperature)
+        grads = encoder.encode_backward(params, (pooled, h, e, norms), dz)
+        lr = encoder.lr_at(step, config)
+        for name, grad in grads.items():
+            velocity[name] = config.momentum * velocity[name] - lr * grad
+            getattr(params, name)[...] += velocity[name]
+        losses.append(float(loss))
+    return params, losses
+
+
+@pytest.fixture(scope="module")
+def random_tracks(mel_config):
+    rng = np.random.default_rng(8)
+    records = [TrackRecord("r%d" % i, "r%d.emlt" % i, 16.0) for i in range(5)]
+    mels = {r.track_id: melfront.MelSpectrogram(
+        rng.uniform(-4, 1, size=(mel_config.num_bands, 1600)), mel_config,
+        r.track_id) for r in records}
+    return records, mels
+
+
+# TS alone leaves column-major views; the other two leave row-major ones
+@pytest.mark.parametrize("chain", [(), ("TS",), ("TS", "PS", "EQ")])
+def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, chain):
+    records, mels = random_tracks
+    spec = AugmentationSpec(chain=chain)
+    cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
+                      peak_lr=0.1, momentum=0.5, rng_seed=9)
+    params, losses = encoder.train(records, spec, cfg, mel_config,
+                                   mel_cache=dict(mels))
+    ref_params, ref_losses = reference_train(records, spec, cfg, mel_config, mels)
+    assert losses == ref_losses
+    for name, tensor in params.tensors().items():
+        np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
+
+
+def test_train_reuses_one_batch_buffer_and_caches_only_pooled_features(
+        random_tracks, mel_config, monkeypatch):
+    records, mels = random_tracks
+    seen = []
+    real_encode = encoder.encode
+
+    def spy(params, batch_values, return_cache=False):
+        z, cache = real_encode(params, batch_values, return_cache=True)
+        seen.append((batch_values, cache))
+        return (z, cache) if return_cache else z
+
+    monkeypatch.setattr(encoder, "encode", spy)
+    cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1)
+    encoder.train(records, AugmentationSpec(chain=()), cfg, mel_config,
+                  mel_cache=dict(mels))
+    batches = [b for b, _ in seen]
+    assert len(batches) == 3 and batches[0].shape == (8, 96, 300)
+    assert all(b is batches[0] for b in batches)
+    for _, cache in seen:
+        assert not any(np.shares_memory(a, batches[0]) for a in cache)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -199,3 +345,43 @@ def test_checkpoint_roundtrip(tmp_path, tiny_training):
     assert back_cfg.to_dict() == cfg.to_dict()
     for name, tensor in params.tensors().items():
         np.testing.assert_allclose(back.tensors()[name], tensor, atol=1e-6)
+
+
+def test_checkpoint_directory_layout(tmp_path):
+    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
+    path = tmp_path / "ckpt"
+    encoder.save_checkpoint(str(path), params, cfg, 4, step=4, extra={"x": 1})
+    tensors = {name: {"file": name + ".emlt", "dims": list(t.shape)}
+               for name, t in params.tensors().items()}
+    want = {"tensors": tensors, "config": cfg.to_dict(), "num_bands": 4,
+            "step": 4, "seed": 0, "x": 1}
+    assert (path / "header.json").read_text() == json.dumps(want, indent=2)
+    assert sorted(p.name for p in path.iterdir()) == [
+        "b1.emlt", "b2.emlt", "header.json", "w1.emlt", "w2.emlt"]
+
+
+@pytest.mark.parametrize("header", ["{not json", "[1, 2]", '{"tensors": 3}',
+                                    '{"tensors": {"w1": {}}}',
+                                    '{"tensors": {"w1": {"file": 3}}}',
+                                    "[" * 100000],
+                         ids=["not-json", "list", "index-not-object",
+                              "no-file", "file-not-string", "deep-nesting"])
+def test_load_checkpoint_with_a_bad_header_raises_data_error(tmp_path, header):
+    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
+    encoder.save_checkpoint(str(tmp_path), params, cfg, 4, step=4)
+    (tmp_path / "header.json").write_text(header)
+    with pytest.raises(DataError, match="header.json"):
+        encoder.load_checkpoint(str(tmp_path))
+
+
+def test_load_checkpoint_with_unknown_tensor_names_raises_data_error(tmp_path):
+    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
+    encoder.save_checkpoint(str(tmp_path), params, cfg, 4, step=4)
+    header = json.loads((tmp_path / "header.json").read_text())
+    header["tensors"]["w3"] = header["tensors"].pop("w2")
+    (tmp_path / "header.json").write_text(json.dumps(header))
+    with pytest.raises(DataError, match="checkpoint"):
+        encoder.load_checkpoint(str(tmp_path))

@@ -197,3 +197,14 @@ def test_unreadable_wav_is_a_data_error(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(DataError, match="t.wav"):
             melfront.load_pcm_wav(path)
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (96,), (2, 96, 50)])
+def test_load_rejects_tensors_without_the_configured_bands(tmp_path, shape):
+    from embedloc import tensorio
+    path = tmp_path / "x.emlt"
+    tensorio.write_tensor(path, np.zeros(shape))
+    with pytest.raises(DataError, match="x.emlt"):
+        melfront.MelSpectrogram.load(str(path), melfront.MelConfig())
+    tensorio.write_tensor(path, np.zeros((96, 50)))
+    assert melfront.MelSpectrogram.load(str(path), melfront.MelConfig()).num_frames == 50

@@ -1,9 +1,14 @@
+import json
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from embedloc import tensorio
+from embedloc.errors import DataError
 
 
 def test_roundtrip_2d(tmp_path):
@@ -112,3 +117,103 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert os.listdir(tmp_path) == ["a.emlt"]
     np.testing.assert_array_equal(tensorio.read_tensor(path), np.zeros(5))
+
+
+def test_params_roundtrip_and_header_layout(tmp_path):
+    tensors = {"w": np.arange(6.0).reshape(2, 3) / 7, "b": np.ones(3)}
+    tensorio.save_params(tmp_path / "p", tensors, {"config": {"k": 1}, "step": 2})
+    text = (tmp_path / "p" / "header.json").read_text(encoding="utf-8")
+    assert text == json.dumps({
+        "tensors": {"w": {"file": "w.emlt", "dims": [2, 3]},
+                    "b": {"file": "b.emlt", "dims": [3]}},
+        "config": {"k": 1}, "step": 2}, indent=2)
+    back, header = tensorio.load_params(tmp_path / "p")
+    assert header["step"] == 2 and list(back) == ["w", "b"]
+    for name, tensor in tensors.items():
+        assert back[name].dtype == np.float64
+        np.testing.assert_array_equal(back[name], tensor.astype(np.float32))
+
+
+def test_params_header_write_that_fails_leaves_the_old_header(tmp_path, monkeypatch):
+    tensorio.save_params(tmp_path, {"w": np.ones(2)}, {"step": 1})
+    before = (tmp_path / "header.json").read_bytes()
+
+    def failing_dump(obj, fh, **kw):
+        fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tensorio.json, "dump", failing_dump)
+    with pytest.raises(OSError, match="No space"):
+        tensorio.save_params(tmp_path, {"w": np.ones(2)}, {"step": 2})
+    assert sorted(os.listdir(tmp_path)) == ["header.json", "w.emlt"]
+    assert (tmp_path / "header.json").read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the bytes, read_tensor returns an array or raises
+# DataError, and never allocates what a header asks for
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def read_or_data_error(path):
+    try:
+        return tensorio.read_tensor(path)
+    except DataError:
+        return None
+
+
+@FUZZ
+@given(data=st.binary(max_size=96))
+def test_fuzz_random_bytes(tmp_path, data):
+    path = tmp_path / "f.emlt"
+    path.write_bytes(data)
+    read_or_data_error(path)
+    path.write_bytes(tensorio.MAGIC + data)
+    read_or_data_error(path)
+
+
+@FUZZ
+@given(shape=st.lists(st.integers(0, 5), min_size=0, max_size=4),
+       cut=st.integers(0, 200))
+def test_fuzz_truncated_files(tmp_path, shape, cut):
+    path = tmp_path / "f.emlt"
+    tensorio.write_tensor(path, np.ones(shape))
+    full = path.read_bytes()
+    path.write_bytes(full[:cut])
+    back = read_or_data_error(path)
+    if cut >= len(full):
+        np.testing.assert_array_equal(back, np.ones(shape))
+    else:
+        assert back is None
+
+
+@FUZZ
+@given(version=st.sampled_from([0, 1, 2]), dtype=st.sampled_from([0, 1, 2]),
+       dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 64 - 1)),
+                     max_size=70),
+       payload=st.binary(max_size=64))
+def test_fuzz_headers_never_size_an_allocation(tmp_path, version, dtype, dims,
+                                               payload):
+    path = tmp_path / "f.emlt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<HHH", version, dtype, len(dims))
+                     + struct.pack("<%dQ" % len(dims), *dims) + payload)
+    tracemalloc.start()
+    try:
+        back = read_or_data_error(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    if back is not None:
+        assert back.shape == tuple(dims) and back.nbytes <= len(payload)
+
+
+@pytest.mark.parametrize("dims", [(0, 2 ** 64 - 1), (0, 2 ** 40, 2 ** 40), (1,) * 65])
+def test_shapes_numpy_rejects_raise_data_error(tmp_path, dims):
+    path = tmp_path / "f.emlt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<HHH", 1, 1, len(dims))
+                     + struct.pack("<%dQ" % len(dims), *dims) + b"\0" * 4)
+    with pytest.raises(DataError, match="f.emlt"):
+        tensorio.read_tensor(path)
