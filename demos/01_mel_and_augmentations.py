@@ -45,7 +45,7 @@ for tau in (0.75, 1.5):
 
 # EQ adds a frame-constant log offset; show the corner band
 p = EqParams(mode="lowpass", corner_hz=3000.0)
-offsets = augment.eq_offsets(cfg, p, fb)
+offsets = augment.eq_offsets(cfg, p)
 corner_band = int(np.argmin(np.abs(fb.band_center_hz - p.corner_hz)))
 print("lowpass EQ at 3000 Hz: offset at the corner band = %.4f "
       "(log10(1/sqrt(2)) = %.4f)"

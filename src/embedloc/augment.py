@@ -23,6 +23,7 @@ LOWPASS_CORNER_RANGE = (2200.0, 4000.0)
 HIGHPASS_CORNER_RANGE = (200.0, 1200.0)
 RRC_TIME_SCALE_RANGE = (0.6, 1.0)
 RRC_FREQ_SCALE_RANGE = (0.6, 1.0)
+EQ_ORDER = 3   # Butterworth order of the EQ filters
 
 STAGES = ("TS", "PS", "EQ", "RRC")
 
@@ -53,7 +54,6 @@ class PitchShiftParams:
 class EqParams:
     mode: str                 # none | lowpass | highpass
     corner_hz: float = 0.0
-    order: int = 3
 
     def __post_init__(self):
         if self.mode not in ("none", "lowpass", "highpass"):
@@ -66,8 +66,6 @@ class EqParams:
                 HIGHPASS_CORNER_RANGE[0] <= self.corner_hz <= HIGHPASS_CORNER_RANGE[1]):
             raise ConfigError("highpass corner %g Hz outside %s"
                               % (self.corner_hz, (HIGHPASS_CORNER_RANGE,)))
-        if self.order != 3:
-            raise ConfigError("only third-order EQ is supported")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class RrcParams:
 @dataclass(frozen=True)
 class AugmentationSpec:
     chain: tuple = ()
-    rng_seed: int = 0
     context_seconds: float = 4.5
     output_seconds: float = 3.0
 
@@ -120,14 +117,13 @@ class AugmentationSpec:
         return int(round(self.output_seconds * config.frames_per_second))
 
     def to_dict(self):
-        return {"chain": list(self.chain), "rng_seed": self.rng_seed,
+        return {"chain": list(self.chain),
                 "context_seconds": self.context_seconds,
                 "output_seconds": self.output_seconds}
 
     @classmethod
     def from_dict(cls, d):
         return cls(chain=tuple(d.get("chain", ())),
-                   rng_seed=int(d.get("rng_seed", 0)),
                    context_seconds=float(d.get("context_seconds", 4.5)),
                    output_seconds=float(d.get("output_seconds", 3.0)))
 
@@ -291,50 +287,43 @@ def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
     return x.copy(values=out)
 
 
-def butterworth_magnitude(freq_hz, corner_hz, mode, order=3):
-    """Analytic third-order Butterworth magnitude response."""
+def butterworth_magnitude(freq_hz, corner_hz, mode):
+    """Analytic Butterworth magnitude response of order EQ_ORDER."""
     r = np.asarray(freq_hz, dtype=float) / corner_hz
-    r2n = r ** (2 * order)
+    r2n = r ** (2 * EQ_ORDER)
     if mode == "lowpass":
         return 1.0 / np.sqrt(1.0 + r2n)
     if mode == "highpass":
-        return r ** order / np.sqrt(1.0 + r2n)
+        return r ** EQ_ORDER / np.sqrt(1.0 + r2n)
     raise ConfigError("unknown Butterworth mode %r" % mode)
-
-
-def _eq_basis(config, filterbank):
-    """Row-sum-normalized filterbank rows and the DFT bin frequencies."""
-    rows = filterbank.weights / filterbank.weights.sum(axis=1, keepdims=True)
-    bin_hz = np.arange(rows.shape[1]) * config.sample_rate_hz / config.dft_size
-    return rows, bin_hz
 
 
 @functools.lru_cache(maxsize=8)
 def eq_basis(config):
-    """_eq_basis of the config's own filterbank, built once per config
-    and returned as read-only arrays."""
-    rows, bin_hz = _eq_basis(config, build_filterbank(config))
+    """Row-sum-normalized rows of the config's filterbank and the DFT bin
+    frequencies, built once per config and returned as read-only arrays."""
+    weights = build_filterbank(config).weights
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    bin_hz = np.arange(rows.shape[1]) * config.sample_rate_hz / config.dft_size
     rows.flags.writeable = False
     bin_hz.flags.writeable = False
     return rows, bin_hz
 
 
-def eq_offsets(config, p: EqParams, filterbank=None):
+def eq_offsets(config, p: EqParams):
     """Per-band additive log offsets log10(sum_k S_u[k] B[k]) with
     row-sum-normalized filterbank rows."""
     if p.mode == "none":
         return np.zeros(config.num_bands)
-    rows, bin_hz = (eq_basis(config) if filterbank is None
-                    else _eq_basis(config, filterbank))
-    response = butterworth_magnitude(bin_hz, p.corner_hz, p.mode, p.order)
-    banded = rows @ response
+    rows, bin_hz = eq_basis(config)
+    banded = rows @ butterworth_magnitude(bin_hz, p.corner_hz, p.mode)
     return np.log10(np.maximum(banded, 1e-300))
 
 
-def equalize(x: MelSpectrogram, p: EqParams, filterbank=None) -> MelSpectrogram:
+def equalize(x: MelSpectrogram, p: EqParams) -> MelSpectrogram:
     if p.mode == "none":
         return x.copy()
-    offs = eq_offsets(x.config, p, filterbank)
+    offs = eq_offsets(x.config, p)
     return x.copy(values=x.values + offs[:, None])
 
 
@@ -377,11 +366,9 @@ def random_resized_crop(x: MelSpectrogram, p: RrcParams,
     return x.copy(values=_resize_bilinear(patch, u_count, out_frames))
 
 
-def apply_chain(x: MelSpectrogram, spec: AugmentationSpec, rng=None) -> MelSpectrogram:
-    """Sample parameters for every enabled stage and apply them in
-    pipeline order; the result always has output_seconds of frames."""
-    if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
+def apply_chain(x: MelSpectrogram, spec: AugmentationSpec, rng) -> MelSpectrogram:
+    """Sample parameters for every enabled stage from `rng` and apply them
+    in pipeline order; the result always has output_seconds of frames."""
     ctx = spec.context_frames(x.config)
     out = spec.output_frames(x.config)
     if x.num_frames < ctx:

@@ -2,14 +2,14 @@
 
 Subcommands: synth, extract, train, embed, sweep, neighborhood,
 retrieval, probe, report. Configuration is a single JSON document;
---set a.b.c=value overrides any leaf. EMBEDLOC_SEED overrides the
-global seed. Exit codes: 0 ok, 2 config error, 3 data error,
-4 numerical failure.
+--set a.b.c=value overrides any leaf. Every random draw (corpus,
+training, augmentation, probe) derives from the one top-level `seed`,
+which EMBEDLOC_SEED overrides; there are no per-section seed keys.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import os
@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import tensorio
 from .augment import AugmentationSpec
 from .corpus import (extract_features, generate_synthetic_corpus,
                      load_track_mel, read_manifest)
@@ -27,9 +28,17 @@ from .errors import ConfigError, DataError, EmbedlocError, NumericalError
 from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
                        tag_precision, tag_retrieval)
-from .melfront import MelConfig, build_filterbank
+from .melfront import MelConfig
 from .probe import (ProbeConfig, acc1_hits, acc2_hits, estimate_tempo,
                     save_probe, train_probe)
+
+
+def _unseeded(config):
+    """A config object's fields without rng_seed, which comes from `seed`."""
+    fields = config.to_dict()
+    del fields["rng_seed"]
+    return fields
+
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -37,8 +46,8 @@ DEFAULT_CONFIG = {
     "corpus": {"num_tracks": 48, "duration_s": 16.0, "test_fraction": 0.25},
     "mel": MelConfig().to_dict(),
     "augmentation": AugmentationSpec().to_dict(),
-    "train": TrainConfig().to_dict(),
-    "probe": ProbeConfig().to_dict(),
+    "train": _unseeded(TrainConfig()),
+    "probe": _unseeded(ProbeConfig()),
     "metrics": {
         "k_grid": [1, 2, 4, 8],
         "stretch_grid": list(DEFAULT_STRETCH_GRID),
@@ -90,7 +99,7 @@ def load_config(path=None, overrides=()):
                 loaded = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("config file not found: %s" % path)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # includes bad UTF-8
             raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
         if not isinstance(loaded, dict):
             raise ConfigError("config file %s must hold a JSON object" % path)
@@ -126,9 +135,7 @@ def _mel_config(config):
 
 
 def _aug_spec(config):
-    spec = dict(config["augmentation"])
-    spec["rng_seed"] = config["seed"]
-    return AugmentationSpec.from_dict(spec)
+    return AugmentationSpec.from_dict(config["augmentation"])
 
 
 def _artifact_id(config):
@@ -216,10 +223,8 @@ def cmd_train(config):
     save_checkpoint(ckpt, params, train_cfg, config["mel"]["num_bands"],
                     step=train_cfg.total_steps,
                     extra={"provenance": _provenance(config)})
-    with open(os.path.join(ckpt, "loss.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        writer.writerows(enumerate(losses))
+    tensorio.write_csv(os.path.join(ckpt, "loss.csv"), ["step", "loss"],
+                       enumerate(losses))
     print("train: %d steps, final loss %.4f, checkpoint %s"
           % (len(losses), losses[-1], ckpt))
 
@@ -282,12 +287,11 @@ def cmd_retrieval(config):
              "tag_retrieval": tag_retrieval(emb, records, k)} for k in k_grid]
     stem = os.path.join(config["paths"]["output_dir"],
                         "retrieval-%s" % _artifact_id(config))
-    with open(stem + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"provenance": _provenance(config), "rows": rows}, fh, indent=2)
-    with open(stem + ".csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["k", "tag_precision", "tag_retrieval"])
-        writer.writeheader()
-        writer.writerows(rows)
+    tensorio.write_json(stem + ".json", {"provenance": _provenance(config),
+                                         "rows": rows})
+    columns = ["k", "tag_precision", "tag_retrieval"]
+    tensorio.write_csv(stem + ".csv", columns,
+                       [[row[c] for c in columns] for row in rows])
     print("retrieval: k grid %s -> %s.{json,csv}" % (k_grid, stem))
 
 
@@ -312,14 +316,12 @@ def cmd_probe(config):
         a1, a2 = float(np.mean(hit1)), float(np.mean(hit2))
         for r, h1, h2 in zip(rows, hit1, hit2):
             r["acc1_hit"], r["acc2_hit"] = int(h1), int(h2)
-        with open(os.path.join(probe_dir, "eval.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "track_id", "truth", "estimate", "acc1_hit", "acc2_hit"])
-            writer.writeheader()
-            writer.writerows(rows)
-        with open(os.path.join(probe_dir, "summary.json"), "w") as fh:
-            json.dump({"provenance": _provenance(config), "acc1": a1, "acc2": a2,
-                       "num_test_tracks": len(rows)}, fh, indent=2)
+        columns = ["track_id", "truth", "estimate", "acc1_hit", "acc2_hit"]
+        tensorio.write_csv(os.path.join(probe_dir, "eval.csv"), columns,
+                           [[row[c] for c in columns] for row in rows])
+        tensorio.write_json(os.path.join(probe_dir, "summary.json"), {
+            "provenance": _provenance(config), "acc1": a1, "acc2": a2,
+            "num_test_tracks": len(rows)})
         print("probe: acc1=%.3f acc2=%.3f over %d test tracks -> %s"
               % (a1, a2, len(rows), probe_dir))
     else:
@@ -332,11 +334,9 @@ def cmd_report(config):
               "artifacts": {}}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
         if name.endswith(".json") and name != "report.json":
-            with open(os.path.join(out, name), "r", encoding="utf-8") as fh:
-                merged["artifacts"][name] = json.load(fh)
+            merged["artifacts"][name] = tensorio.read_json(os.path.join(out, name))
     path = os.path.join(out, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2)
+    tensorio.write_json(path, merged)
     print("report: merged %d artifacts -> %s" % (len(merged["artifacts"]), path))
 
 
@@ -380,7 +380,7 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 4
-    except (DataError, EmbedlocError, OSError) as exc:
+    except (EmbedlocError, OSError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 3
     return 0

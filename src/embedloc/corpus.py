@@ -9,7 +9,7 @@ import ctypes
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from . import tensorio
 from .analysis import PITCH_CLASSES
 from .augment import AugmentationSpec, derive_rng
 from .errors import DataError, TrackTooShort
-from .melfront import (MelConfig, MelSpectrogram, build_filterbank,
-                       compute_mel, load_pcm_f32, load_pcm_wav, write_pcm_wav)
+from .melfront import (MelConfig, MelSpectrogram, compute_mel, load_pcm_f32,
+                       load_pcm_wav, write_pcm_wav)
 
 KEY_VOCABULARY = tuple("%s:%s" % (pc, quality)
                        for pc in PITCH_CLASSES for quality in ("maj", "min"))
@@ -50,10 +50,7 @@ class TrackRecord:
         self.tags = tuple(self.tags)
 
     def to_dict(self):
-        return {"track_id": self.track_id, "feature_path": self.feature_path,
-                "duration_s": self.duration_s, "bpm": self.bpm,
-                "key_label": self.key_label, "tags": list(self.tags),
-                "split": self.split}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -95,8 +92,8 @@ def read_manifest(path):
     return records
 
 
-def load_track_mel(record: TrackRecord, config: MelConfig, base_dir="",
-                   filterbank=None) -> MelSpectrogram:
+def load_track_mel(record: TrackRecord, config: MelConfig,
+                   base_dir="") -> MelSpectrogram:
     """Load a track's features: .emlt files directly, audio via the
     frontend (raw .f32 assumes the manifest's declared sample rate)."""
     path = os.path.join(base_dir, record.feature_path)
@@ -111,8 +108,7 @@ def load_track_mel(record: TrackRecord, config: MelConfig, base_dir="",
         pcm = load_pcm_f32(path)
     else:
         raise DataError("unrecognized feature file %s" % path)
-    return compute_mel(pcm, config, source_id=record.track_id,
-                       filterbank=filterbank)
+    return compute_mel(pcm, config, source_id=record.track_id)
 
 
 def usable_cpus():
@@ -171,17 +167,17 @@ class PairSample:
     positive_offset_s: float
 
 
-def sample_pair_offsets(duration_s, context_s, rng,
-                        max_separation_s=PAIR_MAX_SEPARATION_S):
+def sample_pair_offsets(duration_s, context_s, rng):
     """Anchor uniform over the valid range; positive uniform within
-    +/- max_separation_s of it, clipped to track bounds."""
+    +/- PAIR_MAX_SEPARATION_S of it, clipped to track bounds."""
     hi = duration_s - context_s
-    if duration_s < 2.0 * context_s + max_separation_s:
+    minimum = 2.0 * context_s + PAIR_MAX_SEPARATION_S
+    if duration_s < minimum:
         raise TrackTooShort("duration %.2f s below minimum %.2f s"
-                            % (duration_s, 2.0 * context_s + max_separation_s))
+                            % (duration_s, minimum))
     anchor = rng.uniform(0.0, hi)
-    positive = rng.uniform(max(0.0, anchor - max_separation_s),
-                           min(hi, anchor + max_separation_s))
+    positive = rng.uniform(max(0.0, anchor - PAIR_MAX_SEPARATION_S),
+                           min(hi, anchor + PAIR_MAX_SEPARATION_S))
     return float(anchor), float(positive)
 
 
@@ -248,16 +244,14 @@ def synthesize_track(bpm, key_label, timbre, duration_s, rate, rng):
     return 0.5 * signal / peak if peak > 0 else signal
 
 
-def generate_synthetic_corpus(out_dir, num_tracks, rng=None, seed=0,
-                              duration_s=16.0, sample_rate_hz=16000,
-                              test_fraction=0.25):
+def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
+                              sample_rate_hz=16000, test_fraction=0.25):
     """Emit WAV files plus a manifest with ground-truth BPM, key and tags.
 
     BPM values cycle through an integer grid in [60, 180]; keys cycle
     through all 24 labels; timbre families alternate.
     """
-    if rng is None:
-        rng = derive_rng(seed, "corpus")
+    rng = derive_rng(seed, "corpus")
     os.makedirs(out_dir, exist_ok=True)
     bpm_grid = np.linspace(60, 180, 25).round().astype(int)
     # shuffle so tempo is statistically independent of the cycling key
@@ -288,15 +282,12 @@ def generate_synthetic_corpus(out_dir, num_tracks, rng=None, seed=0,
 def extract_features(records, config: MelConfig, base_dir, out_dir):
     """PCM -> mel EMLT files; returns records rewritten to point at them."""
     os.makedirs(out_dir, exist_ok=True)
-    fb = build_filterbank(config)
 
     def extract(rec):
-        mel = load_track_mel(rec, config, base_dir=base_dir, filterbank=fb)
+        mel = load_track_mel(rec, config, base_dir=base_dir)
         name = rec.track_id + ".emlt"
         mel.save(os.path.join(out_dir, name))
-        new = TrackRecord.from_dict(rec.to_dict())
-        new.feature_path = name
-        return new
+        return replace(rec, feature_path=name)
 
     out = map_tracks(extract, records)
     write_manifest(os.path.join(out_dir, "manifest.jsonl"), out)

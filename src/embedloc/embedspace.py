@@ -1,8 +1,6 @@
 """Track embedding extraction, persistence, and exact cosine-distance
 nearest neighbor search from one cached neighbour table per set."""
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +19,9 @@ class EmbeddingSet:
     def __post_init__(self):
         if len(self.ids) != len(set(self.ids)):
             raise DataError("duplicate track ids in embedding set")
-        if self.matrix.shape[0] != len(self.ids):
-            raise DataError("id/matrix length mismatch")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.ids):
+            raise DataError("matrix of shape %s does not hold one row per id"
+                            " (%d ids)" % (self.matrix.shape, len(self.ids)))
         # a read-only copy, so the cached neighbour table cannot go stale
         self.matrix = np.array(self.matrix)
         self.matrix.flags.writeable = False
@@ -61,32 +60,37 @@ class EmbeddingSet:
 
     def save(self, path_prefix):
         tensorio.write_tensor(path_prefix + ".emlt", self.matrix)
-        header = {"dim": int(self.dim), "ids": list(self.ids),
-                  "provenance": self.provenance}
-        with open(path_prefix + ".json", "w", encoding="utf-8") as fh:
-            json.dump(header, fh, indent=2)
+        tensorio.write_json(path_prefix + ".json", {
+            "dim": int(self.dim), "ids": list(self.ids),
+            "provenance": self.provenance})
 
     @classmethod
     def load(cls, path_prefix):
-        with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
-            header = json.load(fh)
+        """Read a set written by save; a header that is not a JSON object
+        with a list of string ids raises DataError naming the file."""
+        header_path = path_prefix + ".json"
+        header = tensorio.read_json(header_path)
+        ids = header.get("ids") if isinstance(header, dict) else None
+        if not (isinstance(ids, list) and all(isinstance(t, str) for t in ids)):
+            raise DataError("%s has no list of string track ids" % header_path)
         matrix = tensorio.read_tensor(path_prefix + ".emlt").astype(float)
-        return cls(ids=list(header["ids"]), matrix=matrix,
-                   provenance=header.get("provenance", {}))
+        try:
+            return cls(ids=ids, matrix=matrix,
+                       provenance=header.get("provenance", {}))
+        except DataError as exc:
+            raise DataError("%s: %s" % (header_path, exc)) from exc
 
 
-def track_windows(mel, window_frames, hop_frames=None):
-    """Consecutive windows over the track; non-overlapping by default."""
-    if hop_frames is None:
-        hop_frames = window_frames
-    starts = range(0, mel.num_frames - window_frames + 1, hop_frames)
+def track_windows(mel, window_frames):
+    """Consecutive non-overlapping windows over the track."""
+    starts = range(0, mel.num_frames - window_frames + 1, window_frames)
     return [mel.values[:, s:s + window_frames] for s in starts]
 
 
-def embed_track(mel, params, window_frames, hop_frames=None):
+def embed_track(mel, params, window_frames):
     """Track-average embedding: per-window embeddings averaged then
     re-normalized to unit length."""
-    windows = track_windows(mel, window_frames, hop_frames)
+    windows = track_windows(mel, window_frames)
     if not windows:
         raise TrackTooShort("track %s: %d frames < window of %d"
                             % (mel.source_id, mel.num_frames, window_frames))

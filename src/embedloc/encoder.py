@@ -10,13 +10,13 @@ analytic; the loss gradient is checked against finite differences in
 the test suite.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensorio
 from .augment import AugmentationSpec, apply_chain, derive_rng
-from .corpus import load_track_mel, sample_pair
+from .corpus import PAIR_MAX_SEPARATION_S, load_track_mel, sample_pair
 from .errors import ConfigError, DataError, NumericalError
 
 
@@ -43,10 +43,7 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "batch_pairs", "total_steps", "warmup_steps", "peak_lr",
-            "temperature", "momentum", "embedding_dim", "hidden_units",
-            "rng_seed")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -187,7 +184,7 @@ def lr_at(step, config: TrainConfig):
 
 
 def usable_train_tracks(records, aug_spec: AugmentationSpec):
-    minimum = 2.0 * aug_spec.context_seconds + 5.0
+    minimum = 2.0 * aug_spec.context_seconds + PAIR_MAX_SEPARATION_S
     return [r for r in records if r.split == "train" and r.duration_s >= minimum]
 
 
@@ -202,7 +199,7 @@ def _stack_buffer(view, n):
 
 
 def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
-          mel_config, base_dir="", mel_cache=None, loss_hook=None):
+          mel_config, base_dir="", mel_cache=None):
     """SGD over NT-Xent on augmented local pairs; single-threaded and
     bit-reproducible for a fixed seed.
 
@@ -249,8 +246,6 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
             velocity[name] = config.momentum * velocity[name] - lr * grad
             getattr(params, name)[...] += velocity[name]
         losses.append(float(loss))
-        if loss_hook is not None:
-            loss_hook(step, float(loss))
     return params, losses
 
 

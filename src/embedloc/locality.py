@@ -2,12 +2,11 @@
 neighborhood metrics (tempo RMMS, key precision, tag precision, tag
 retrieval)."""
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensorio
 from .augment import PitchShiftParams, TimeStretchParams, pitch_shift, time_stretch
 from .embedspace import EmbeddingSet, cosine_distance, embed_track
 from .errors import ConfigError, DataError
@@ -39,15 +38,11 @@ class SweepResult:
                              "iqr": self.iqr(f),
                              "distances": [float(d) for d in self.distances[f]]}
                             for f in self.factors]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        tensorio.write_json(path, payload)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["factor", "mean_distance", "iqr"])
-            for f in self.factors:
-                writer.writerow([f, self.mean(f), self.iqr(f)])
+        tensorio.write_csv(path, ["factor", "mean_distance", "iqr"],
+                           [[f, self.mean(f), self.iqr(f)] for f in self.factors])
 
 
 def manipulation_sweep(mels, params, kind, grid, window_frames,
@@ -171,15 +166,12 @@ class NeighborhoodReport:
         payload = {"k_grid": list(self.k_grid), "provenance": self.provenance}
         for m in self.METRICS:
             payload[m] = {str(k): v for k, v in getattr(self, m).items()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        tensorio.write_json(path, payload)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + list(self.METRICS))
-            for k in self.k_grid:
-                writer.writerow([k] + [getattr(self, m).get(k, "") for m in self.METRICS])
+        tensorio.write_csv(path, ["k"] + list(self.METRICS),
+                           [[k] + [getattr(self, m).get(k, "") for m in self.METRICS]
+                            for k in self.k_grid])
 
 
 def compute_neighborhood_report(emb_set, records, k_grid,

@@ -6,8 +6,9 @@ Triangular bands are stored with unit peak (no area normalization);
 consumers that need normalized rows divide by the row sum.
 """
 
+import functools
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,15 +60,7 @@ class MelConfig:
         return self.sample_rate_hz / self.hop
 
     def to_dict(self):
-        return {
-            "sample_rate_hz": self.sample_rate_hz,
-            "dft_size": self.dft_size,
-            "window_length": self.window_length,
-            "hop": self.hop,
-            "num_bands": self.num_bands,
-            "window_kind": self.window_kind,
-            "log_floor": self.log_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -98,18 +91,16 @@ class MelSpectrogram:
     def num_frames(self):
         return self.values.shape[1]
 
-    def copy(self, values=None, source_id=None):
-        """A spectrogram with this one's config holding `values` (by
-        default this one's). Values that share memory with this
-        spectrogram's, such as a crop, are copied; a freshly computed
-        array is adopted as it is."""
+    def copy(self, values=None):
+        """A spectrogram with this one's config and source id holding
+        `values` (by default this one's). Values that share memory with
+        this spectrogram's, such as a crop, are copied; a freshly
+        computed array is adopted as it is."""
         values = self.values if values is None else values
         return MelSpectrogram(
             values=(np.array(values) if np.may_share_memory(values, self.values)
                     else np.asarray(values)),
-            config=self.config,
-            source_id=self.source_id if source_id is None else source_id,
-        )
+            config=self.config, source_id=self.source_id)
 
     def save(self, path):
         tensorio.write_tensor(path, self.values)
@@ -133,8 +124,10 @@ def band_grid_mel(config):
     return np.linspace(lo, hi, config.num_bands + 2)
 
 
+@functools.lru_cache(maxsize=8)
 def build_filterbank(config: MelConfig) -> MelFilterbank:
-    """Triangular mel filterbank; adjacent triangles cross at 50% height."""
+    """Triangular mel filterbank; adjacent triangles cross at 50% height.
+    Built once per config and returned as read-only arrays."""
     n_bins = config.dft_size // 2 + 1
     bin_hz = np.arange(n_bins) * config.sample_rate_hz / config.dft_size
     edges_hz = mel_to_hz(band_grid_mel(config))
@@ -149,16 +142,17 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
             raise ConfigError(
                 "mel band %d is empty: too many bands for dft_size=%d at "
                 "sample_rate_hz=%d" % (u, config.dft_size, config.sample_rate_hz))
-    return MelFilterbank(weights=weights, band_center_hz=edges_hz[1:-1].copy())
+    band_center_hz = edges_hz[1:-1].copy()
+    weights.flags.writeable = False
+    band_center_hz.flags.writeable = False
+    return MelFilterbank(weights=weights, band_center_hz=band_center_hz)
 
 
-def compute_mel(pcm, config: MelConfig, source_id: str = "",
-                filterbank: MelFilterbank | None = None) -> MelSpectrogram:
+def compute_mel(pcm, config: MelConfig, source_id: str = "") -> MelSpectrogram:
     """Log-mel spectrogram log10(max(floor, S @ |STFT|)) of left-aligned,
     Hann-windowed frames. The STFT runs in blocks of STFT_BLOCK_FRAMES
     frames, each banded into its columns of the output."""
-    if filterbank is None:
-        filterbank = build_filterbank(config)
+    filterbank = build_filterbank(config)
     pcm = np.asarray(pcm, dtype=float)
     n, hop = config.window_length, config.hop
     if len(pcm) < n:
@@ -193,15 +187,18 @@ def load_pcm_wav(path):
     except (wave.Error, EOFError) as exc:
         raise DataError("%s: not a readable WAV file: %s"
                         % (path, str(exc) or "header cut short")) from exc
+    if len(raw) % 2:
+        raise DataError("%s: sample data ends inside a sample" % path)
     pcm = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return pcm, rate
 
 
 def write_pcm_wav(path, pcm, rate):
-    """Write float samples (clipped to [-1, 1)) as mono 16-bit WAV."""
+    """Write float samples (clipped to [-1, 1)) as mono 16-bit WAV,
+    atomically."""
     scaled = np.clip(np.asarray(pcm, dtype=float), -1.0, 32767.0 / 32768.0)
     data = (scaled * 32768.0).astype("<i2").tobytes()
-    with wave.open(str(path), "wb") as wf:
+    with tensorio.atomic_write(path) as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(int(rate))

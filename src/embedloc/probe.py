@@ -2,7 +2,7 @@
 (30..300), one 512-unit hidden layer with 75% dropout, argmax after
 Hamming-window smoothing; scored with Acc1/Acc2."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ class ProbeConfig:
             raise ConfigError("batch_size and total_steps must be positive")
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "batch_size", "total_steps", "learning_rate", "dropout",
-            "hidden_units", "rng_seed")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -79,14 +77,15 @@ def _softmax(logits):
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def train_probe(emb_set, records, config: ProbeConfig, split="train"):
-    """Crossentropy training of the probe on integer-BPM targets."""
+def train_probe(emb_set, records, config: ProbeConfig):
+    """Crossentropy training of the probe on integer-BPM targets, over the
+    set's train-split tracks (every track when none is in that split)."""
     bpm = {r.track_id: r.bpm for r in records}
     split_of = {r.track_id: r.split for r in records}
     missing = [tid for tid in emb_set.ids if bpm.get(tid) is None]
     if missing:
         raise DataError("tracks without bpm labels: %s" % ", ".join(sorted(missing)))
-    usable = [tid for tid in emb_set.ids if split_of.get(tid) == split]
+    usable = [tid for tid in emb_set.ids if split_of.get(tid) == "train"]
     if not usable:
         usable = list(emb_set.ids)
     classes = np.array([int(round(bpm[tid])) - BPM_MIN for tid in usable])
@@ -126,10 +125,10 @@ def train_probe(emb_set, records, config: ProbeConfig, split="train"):
     return model, losses
 
 
-def smooth_scores(scores, taps=SMOOTHING_TAPS):
-    """Same-length zero-padded convolution with a Hamming window along
-    the BPM axis."""
-    window = np.hamming(taps)
+def smooth_scores(scores):
+    """Same-length zero-padded convolution with a SMOOTHING_TAPS Hamming
+    window along the BPM axis."""
+    window = np.hamming(SMOOTHING_TAPS)
     return np.convolve(np.asarray(scores, dtype=float), window, mode="same")
 
 
@@ -140,31 +139,32 @@ def estimate_tempo(model: ProbeModel, embedding):
     return BPM_MIN + int(np.argmax(smoothed))
 
 
-def acc1_hits(estimates, truths, tolerance=ACC_TOLERANCE):
-    """Per item: is the estimate within +/- tolerance of the true tempo?"""
+def acc1_hits(estimates, truths):
+    """Per item: is the estimate within +/- ACC_TOLERANCE of the true
+    tempo?"""
     est, tru = _check_aligned(estimates, truths)
-    return np.abs(est - tru) / tru <= tolerance
+    return np.abs(est - tru) / tru <= ACC_TOLERANCE
 
 
-def acc2_hits(estimates, truths, tolerance=ACC_TOLERANCE, octaves=TEMPO_OCTAVES):
-    """Per item: like acc1_hits but against any tempo-octave multiple of
-    the truth."""
+def acc2_hits(estimates, truths):
+    """Per item: like acc1_hits but against any of the TEMPO_OCTAVES
+    multiples of the truth."""
     est, tru = _check_aligned(estimates, truths)
     hits = np.zeros(len(est), dtype=bool)
-    for o in octaves:
+    for o in TEMPO_OCTAVES:
         ref = tru * o
-        hits |= np.abs(est - ref) / ref <= tolerance
+        hits |= np.abs(est - ref) / ref <= ACC_TOLERANCE
     return hits
 
 
-def acc1(estimates, truths, tolerance=ACC_TOLERANCE):
-    """Fraction of estimates within +/- tolerance of the true tempo."""
-    return float(np.mean(acc1_hits(estimates, truths, tolerance)))
+def acc1(estimates, truths):
+    """Fraction of estimates within +/- ACC_TOLERANCE of the true tempo."""
+    return float(np.mean(acc1_hits(estimates, truths)))
 
 
-def acc2(estimates, truths, tolerance=ACC_TOLERANCE, octaves=TEMPO_OCTAVES):
+def acc2(estimates, truths):
     """Like acc1 but against any tempo-octave multiple of the truth."""
-    return float(np.mean(acc2_hits(estimates, truths, tolerance, octaves)))
+    return float(np.mean(acc2_hits(estimates, truths)))
 
 
 def _check_aligned(estimates, truths):

@@ -1,5 +1,6 @@
-"""EMLT binary tensor files, and parameter sets (a directory of named
-EMLT tensors plus a JSON header) built from them.
+"""EMLT binary tensor files, parameter sets (a directory of named EMLT
+tensors plus a JSON header) built from them, and the atomic writers and
+checked JSON reader every artifact goes through.
 
 Layout (all little-endian):
     magic   4 bytes  b"EMLT"
@@ -11,6 +12,7 @@ Layout (all little-endian):
 """
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -36,17 +38,44 @@ def atomic_write(path, mode="wb", encoding=None):
     """Open a new temporary file beside `path` for writing. When the block
     ends normally the file is moved onto `path` with os.replace; when it
     raises, the temporary file is removed. Either way no reader ever sees
-    a partly written `path`."""
+    a partly written `path`. Text mode writes line endings untranslated,
+    as the csv module requires."""
     path = os.fspath(path)
     tmp = "%s.%s.tmp" % (path, os.urandom(6).hex())
+    newline = None if "b" in mode else ""
     try:
-        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding,
+                  newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, obj):
+    """Write `obj` as indented JSON, atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file of one header row and then `rows`, atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path):
+    """The JSON document in `path`; a file that is not valid UTF-8 JSON,
+    or nests too deeply to parse, raises DataError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:   # includes bad UTF-8
+            raise DataError("%s is not valid JSON: %s" % (path, exc))
 
 
 def write_tensor(path, array):
@@ -103,20 +132,15 @@ def save_params(path, tensors, header):
         fname = name + ".emlt"
         write_tensor(os.path.join(path, fname), tensor)
         index[name] = {"file": fname, "dims": list(tensor.shape)}
-    with atomic_write(os.path.join(path, "header.json"), "w",
-                      encoding="utf-8") as fh:
-        json.dump(dict({"tensors": index}, **header), fh, indent=2)
+    write_json(os.path.join(path, "header.json"),
+               dict({"tensors": index}, **header))
 
 
 def load_params(path):
     """Read a parameter set written by save_params: (tensors as float64
     arrays by name, header)."""
     header_path = os.path.join(path, "header.json")
-    with open(header_path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.load(fh)
-        except (ValueError, RecursionError) as exc:   # includes bad UTF-8
-            raise DataError("%s is not valid JSON: %s" % (header_path, exc))
+    header = read_json(header_path)
     index = header.get("tensors") if isinstance(header, dict) else None
     if not (isinstance(index, dict) and all(
             isinstance(meta, dict) and isinstance(meta.get("file"), str)

@@ -100,7 +100,7 @@ def test_criterion_03_eq_additivity():
     worst_corner = 0.0
     for corner in np.linspace(2300, 3900, 9):
         offs = augment.eq_offsets(CFG, EqParams(mode="lowpass",
-                                                corner_hz=float(corner)), fb)
+                                                corner_hz=float(corner)))
         band = int(np.argmin(np.abs(fb.band_center_hz - corner)))
         worst_corner = max(worst_corner,
                            abs(offs[band] - np.log10(1 / np.sqrt(2))))
@@ -282,7 +282,7 @@ def trained_models(small_corpus, mel_config):
     out = {}
     for seed in SEEDS:
         for name, chain in CHAINS.items():
-            spec = AugmentationSpec(chain=chain, rng_seed=seed)
+            spec = AugmentationSpec(chain=chain)
             cfg = TrainConfig(batch_pairs=24, total_steps=800,
                               warmup_steps=40, peak_lr=0.002, rng_seed=seed)
             params, _ = encoder.train(records, spec, cfg, mel_config,

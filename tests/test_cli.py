@@ -277,3 +277,105 @@ def test_matching_mel_bands_run(tmp_path, capsys, command):
     _features_and_checkpoint(tmp_path, 64, 64)
     assert cli.main([command, "--set", "mel.num_bands=64"] + _out_args(tmp_path)) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# every corrupt input ends in exit 2 or 3, never a traceback
+
+def _valid_tree(tmp_path):
+    """A corpus of one WAV, three extracted tracks, a checkpoint and an
+    embedding set: every input the table below corrupts, intact. Returns
+    the overrides that point the CLI at it and keep each command small."""
+    from embedloc import melfront, tensorio
+    from embedloc.corpus import TrackRecord, write_manifest
+    from embedloc.embedspace import EmbeddingSet
+    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    rng = np.random.default_rng(0)
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    (out / "features").mkdir(parents=True)
+    corpus_dir.mkdir()
+    melfront.write_pcm_wav(corpus_dir / "a.wav", 0.1 * rng.standard_normal(16000), 16000)
+    write_manifest(corpus_dir / "manifest.jsonl", [TrackRecord("a", "a.wav", 1.0)])
+    records = [TrackRecord(tid, tid + ".emlt", 16.0, bpm=bpm, key_label="C:maj",
+                           tags=("sine",), split=split)
+               for tid, bpm, split in (("a", 120.0, "train"), ("b", 130.0, "train"),
+                                       ("c", 90.0, "test"))]
+    write_manifest(out / "features" / "manifest.jsonl", records)
+    for rec in records:
+        tensorio.write_tensor(out / "features" / rec.feature_path,
+                              rng.uniform(-4, 1, size=(96, 1600)))
+    save_checkpoint(str(out / "checkpoints" / "none-s0"),
+                    EncoderParams.init(96, 8, 4, rng), TrainConfig(), 96, step=0)
+    (out / "embeddings").mkdir()
+    matrix = rng.standard_normal((3, 4))
+    EmbeddingSet(ids=["a", "b", "c"],
+                 matrix=matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+                 ).save(str(out / "embeddings" / "none-s0"))
+    (tmp_path / "c.json").write_text("{}")
+    sets = {"paths.corpus_dir": '"%s"' % corpus_dir, "paths.output_dir": '"%s"' % out,
+            "train.total_steps": 2, "train.warmup_steps": 1, "train.batch_pairs": 2,
+            "probe.total_steps": 2, "metrics.k_grid": "[1]"}
+    return [arg for key, value in sets.items()
+            for arg in ("--set", "%s=%s" % (key, value))]
+
+
+def test_valid_tree_runs_every_command(tmp_path, capsys):
+    base = _valid_tree(tmp_path)
+    for command in ("train", "embed", "neighborhood", "retrieval", "probe", "extract"):
+        assert cli.main([command, "--config", str(tmp_path / "c.json")] + base) == 0, \
+            capsys.readouterr().err
+
+
+CHECKPOINT_HEADER = "out/checkpoints/none-s0/header.json"
+EMBEDDING_HEADER = "out/embeddings/none-s0.json"
+DEEP = b"[" * 100000
+
+CORRUPT_INPUTS = [
+    # (command, file under the tree, new contents from the intact ones, exit code)
+    ("extract", "c.json", lambda b: b"{not json", 2),
+    ("extract", "c.json", lambda b: b'{"seed": "\xff"}', 2),
+    ("extract", "c.json", lambda b: DEEP, 2),
+    ("extract", "c.json", lambda b: b"[1]", 2),
+    ("extract", "corpus/manifest.jsonl", lambda b: b'{"track_id": "a"\n', 3),
+    ("extract", "corpus/manifest.jsonl", lambda b: b"\xff\xfe\n", 3),
+    ("extract", "corpus/a.wav", lambda b: b[:30], 3),
+    ("extract", "corpus/a.wav", lambda b: b[:-1], 3),
+    ("train", "out/features/manifest.jsonl", lambda b: b"[1]\n", 3),
+    ("train", "out/features/a.emlt", lambda b: b[:12], 3),
+    ("train", "out/features/a.emlt", lambda b: b[:-4], 3),
+    ("train", "out/features/a.emlt", lambda b: b"XXXX" + b[4:], 3),
+    ("embed", CHECKPOINT_HEADER, lambda b: b[:-10], 3),
+    ("embed", CHECKPOINT_HEADER, lambda b: b"\xff" + b, 3),
+    ("embed", CHECKPOINT_HEADER, lambda b: DEEP, 3),
+    ("embed", CHECKPOINT_HEADER, lambda b: b"[1, 2]", 3),
+    ("embed", "out/checkpoints/none-s0/w2.emlt", lambda b: b[:20], 3),
+    ("neighborhood", EMBEDDING_HEADER, lambda b: b'{"ids": ["a"', 3),
+    ("retrieval", EMBEDDING_HEADER, lambda b: b"\xff" + b, 3),
+    ("probe", EMBEDDING_HEADER, lambda b: DEEP, 3),
+    ("neighborhood", EMBEDDING_HEADER, lambda b: b"[1, 2]", 3),
+    ("retrieval", EMBEDDING_HEADER, lambda b: b'{"dim": 4}', 3),
+    ("probe", EMBEDDING_HEADER, lambda b: b'{"ids": "abc"}', 3),
+    ("neighborhood", EMBEDDING_HEADER, lambda b: b'{"ids": ["a", 2, "c"]}', 3),
+    ("retrieval", EMBEDDING_HEADER, lambda b: b'{"ids": ["a", "b"]}', 3),
+    ("probe", "out/embeddings/none-s0.emlt", lambda b: b[:-8], 3),
+]
+
+
+@pytest.mark.parametrize("command,name,corrupt,code", CORRUPT_INPUTS,
+                         ids=["%s-%s-%d" % (c[0], c[1].rsplit("/", 1)[-1], i)
+                              for i, c in enumerate(CORRUPT_INPUTS)])
+def test_corrupt_input_exits_2_or_3_naming_the_file(tmp_path, capsys, command,
+                                                    name, corrupt, code):
+    base = _valid_tree(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert cli.main([command, "--config", str(tmp_path / "c.json")] + base) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:")
+    assert path.name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section", ["train", "probe", "augmentation"])
+def test_removed_seed_keys_are_unknown_config_paths(section, capsys):
+    assert cli.main(["report", "--set", "%s.rng_seed=5" % section]) == 2
+    assert "unknown config path '%s.rng_seed'" % section in capsys.readouterr().err

@@ -354,7 +354,10 @@ def test_checkpoint_directory_layout(tmp_path):
     encoder.save_checkpoint(str(path), params, cfg, 4, step=4, extra={"x": 1})
     tensors = {name: {"file": name + ".emlt", "dims": list(t.shape)}
                for name, t in params.tensors().items()}
-    want = {"tensors": tensors, "config": cfg.to_dict(), "num_bands": 4,
+    config = {"batch_pairs": 4, "total_steps": 4, "warmup_steps": 1,
+              "peak_lr": 0.001, "temperature": 0.1, "momentum": 0.0,
+              "embedding_dim": 64, "hidden_units": 256, "rng_seed": 0}
+    want = {"tensors": tensors, "config": config, "num_bands": 4,
             "step": 4, "seed": 0, "x": 1}
     assert (path / "header.json").read_text() == json.dumps(want, indent=2)
     assert sorted(p.name for p in path.iterdir()) == [

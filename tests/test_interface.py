@@ -1,0 +1,141 @@
+"""The package's outward interface: options that were removed stay
+removed, the names and configs the pipeline benchmark relies on resolve,
+serialized formats keep their bytes, and the demos run."""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from embedloc import augment, corpus, embedspace, encoder, melfront, probe
+from embedloc.corpus import TrackRecord
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def _env(**extra):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+# ---------------------------------------------------------------------------
+# removed options
+
+REMOVED = [
+    (melfront.compute_mel, "filterbank"),
+    (corpus.load_track_mel, "filterbank"),
+    (augment.eq_offsets, "filterbank"),
+    (augment.equalize, "filterbank"),
+    (embedspace.track_windows, "hop_frames"),
+    (embedspace.embed_track, "hop_frames"),
+    (encoder.train, "loss_hook"),
+    (corpus.generate_synthetic_corpus, "rng"),
+    (corpus.sample_pair_offsets, "max_separation_s"),
+    (probe.train_probe, "split"),
+    (probe.acc1, "tolerance"),
+    (probe.acc2, "tolerance"),
+    (probe.acc2, "octaves"),
+    (probe.acc1_hits, "tolerance"),
+    (probe.acc2_hits, "tolerance"),
+    (probe.acc2_hits, "octaves"),
+    (probe.smooth_scores, "taps"),
+    (melfront.MelSpectrogram.copy, "source_id"),
+    (augment.butterworth_magnitude, "order"),
+    (augment.EqParams, "order"),
+    (augment.AugmentationSpec, "rng_seed"),
+]
+
+
+@pytest.mark.parametrize("fn,name", REMOVED,
+                         ids=["%s-%s" % (fn.__qualname__, name) for fn, name in REMOVED])
+def test_removed_parameter_is_gone(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
+def test_apply_chain_needs_an_rng():
+    rng = inspect.signature(augment.apply_chain).parameters["rng"]
+    assert rng.default is inspect.Parameter.empty
+
+
+# ---------------------------------------------------------------------------
+# what pipebench relies on
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "pipebench_tracer", os.path.join(ROOT, "pipebench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_name_resolves():
+    layers = _load_tracer().LAYERS
+    for layer, names in layers.items():
+        module = importlib.import_module("embedloc." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), "%s.%s" % (layer, name)
+
+
+# importing run.py sets the BLAS thread variables, so it runs in a child
+WORKLOAD_CONFIGS = """
+import json, os, sys, tempfile
+sys.path.insert(0, os.path.join(os.getcwd(), "pipebench"))
+import run
+from embedloc import cli
+hashes = {}
+with tempfile.TemporaryDirectory() as d:
+    for name, spec in run.WORKLOADS.items():
+        path = os.path.join(d, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(run.round_config(spec, "round"), fh)
+        hashes[name] = cli.config_hash(cli.load_config(path))
+print(json.dumps(hashes))
+"""
+
+
+def test_every_workload_config_loads_with_a_pinned_hash():
+    done = subprocess.run([sys.executable, "-c", WORKLOAD_CONFIGS], cwd=ROOT,
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    hashes = json.loads(done.stdout.splitlines()[-1])
+    assert set(hashes) == {"augmented-train", "crop-train", "catalog"}
+    # the config sections come from dataclasses.asdict; the hash is the
+    # one the hand-written field lists gave without the rng_seed keys
+    assert hashes["catalog"] == "521c270172a45aa7"
+
+
+# ---------------------------------------------------------------------------
+# serialized formats
+
+def test_manifest_bytes_are_pinned(tmp_path):
+    path = tmp_path / "m.jsonl"
+    corpus.write_manifest(path, [
+        TrackRecord("a", "a.wav", 16.0, bpm=120.0, key_label="C:maj",
+                    tags=("sine", "dense-rhythm")),
+        TrackRecord("b", "b.emlt", 20.0, split="test")])
+    assert path.read_bytes() == (
+        b'{"track_id": "a", "feature_path": "a.wav", "duration_s": 16.0, "bpm": 120.0,'
+        b' "key_label": "C:maj", "tags": ["sine", "dense-rhythm"], "split": "train"}\n'
+        b'{"track_id": "b", "feature_path": "b.emlt", "duration_s": 20.0, "bpm": null,'
+        b' "key_label": null, "tags": [], "split": "test"}\n')
+
+
+# ---------------------------------------------------------------------------
+# demos
+
+@pytest.mark.parametrize("demo,expect", [
+    ("01_mel_and_augmentations.py", "lowpass EQ at 3000 Hz"),
+    ("02_contrastive_training.py", "neighbors of"),
+])
+def test_demo_runs(tmp_path, demo, expect):
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=tmp_path, env=_env(TMPDIR=str(tmp_path)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert expect in done.stdout

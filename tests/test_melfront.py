@@ -25,6 +25,16 @@ def test_two_band_peak_ordering():
     assert np.argmax(fb.weights[0]) < np.argmax(fb.weights[1])
 
 
+def test_filterbank_is_built_once_per_config_and_read_only():
+    cfg = melfront.MelConfig()
+    fb = melfront.build_filterbank(cfg)
+    assert melfront.build_filterbank(melfront.MelConfig()) is fb
+    assert melfront.build_filterbank(melfront.MelConfig(num_bands=64)) is not fb
+    for array in (fb.weights, fb.band_center_hz):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_rows_are_single_peaked():
     fb = melfront.build_filterbank(melfront.MelConfig())
     for row in fb.weights:
@@ -165,7 +175,7 @@ def test_blocked_stft_matches_explicit_dft(frames):
     rng = np.random.default_rng(frames)
     pcm = 0.3 * rng.standard_normal(cfg.window_length + cfg.hop * (frames - 1))
     pcm[:cfg.hop] = 0.0   # the first frame is partly silent
-    got = melfront.compute_mel(pcm, cfg, filterbank=fb).values
+    got = melfront.compute_mel(pcm, cfg).values
     want = reference_log_mel(pcm, cfg, fb)
     assert got.shape == want.shape == (cfg.num_bands, frames)
     live = want > np.log10(cfg.log_floor)
@@ -188,7 +198,7 @@ def test_copy_adopts_fresh_values_and_copies_views():
     kept = crop.values.copy()
     source.values[:] = 0.0
     np.testing.assert_array_equal(crop.values, kept)
-    assert whole.source_id == "s" and source.copy(source_id="t").source_id == "t"
+    assert whole.source_id == crop.source_id == "s"
 
 
 def test_unreadable_wav_is_a_data_error(tmp_path):
