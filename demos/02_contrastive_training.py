@@ -26,8 +26,7 @@ train_cfg = encoder.TrainConfig(batch_pairs=8, total_steps=120,
                                 warmup_steps=10, peak_lr=0.002, rng_seed=0)
 mels = {r.track_id: corpus.load_track_mel(r, cfg, base_dir=work + "/feat")
         for r in records}
-params, losses = encoder.train(records, spec, train_cfg, cfg,
-                               mel_cache=mels)
+params, losses = encoder.train(records, mels, spec, train_cfg)
 print("trained with chain %s: loss %.3f -> %.3f"
       % (spec.chain, np.mean(losses[:10]), np.mean(losses[-10:])))
 

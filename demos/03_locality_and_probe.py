@@ -25,8 +25,7 @@ for name, chain in (("none", ()), ("TS", ("TS",))):
     spec = AugmentationSpec(chain=chain)
     train_cfg = encoder.TrainConfig(batch_pairs=16, total_steps=400,
                                     warmup_steps=20, peak_lr=0.002, rng_seed=0)
-    params, _ = encoder.train(records, spec, train_cfg, cfg,
-                              mel_cache=dict(mels))
+    params, _ = encoder.train(records, mels, spec, train_cfg)
     embeddings[name] = (params,
                         embedspace.build_embedding_set(mels.values(), params,
                                                        window))

@@ -121,12 +121,6 @@ class AugmentationSpec:
                 "context_seconds": self.context_seconds,
                 "output_seconds": self.output_seconds}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(chain=tuple(d.get("chain", ())),
-                   context_seconds=float(d.get("context_seconds", 4.5)),
-                   output_seconds=float(d.get("output_seconds", 3.0)))
-
 
 # ---------------------------------------------------------------------------
 # RNG derivation: scheduling-independent per-sample streams

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .corpus import (extract_features, generate_synthetic_corpus,
                      load_track_mel, read_manifest)
 from .embedspace import EmbeddingSet, build_embedding_set
 from .encoder import (TrainConfig, feature_dim, load_checkpoint,
-                      save_checkpoint, train)
+                      save_checkpoint, train, usable_train_tracks)
 from .errors import ConfigError, DataError, EmbedlocError, NumericalError
 from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
@@ -35,7 +36,7 @@ from .probe import (ProbeConfig, acc1_hits, acc2_hits, estimate_tempo,
 
 def _unseeded(config):
     """A config object's fields without rng_seed, which comes from `seed`."""
-    fields = config.to_dict()
+    fields = asdict(config)
     del fields["rng_seed"]
     return fields
 
@@ -44,7 +45,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "paths": {"corpus_dir": "corpus", "output_dir": "out"},
     "corpus": {"num_tracks": 48, "duration_s": 16.0, "test_fraction": 0.25},
-    "mel": MelConfig().to_dict(),
+    "mel": asdict(MelConfig()),
     "augmentation": AugmentationSpec().to_dict(),
     "train": _unseeded(TrainConfig()),
     "probe": _unseeded(ProbeConfig()),
@@ -57,26 +58,36 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge_known(base, override, prefix=""):
-    """base with override merged in. Every override path must already
-    exist in base, sections (dicts) may only be merged into sections, and
-    a leaf keeps the type of the value it replaces (an int may replace a
-    float)."""
+def _check_leaf(path, default, value):
+    """Raise ConfigError unless `value` may stand where `default` stands
+    in DEFAULT_CONFIG: it has the default's type (an int may stand for a
+    float; a bool is never an int), and each item of a list may stand for
+    the items of the default list."""
+    want = type(default)
+    if type(value) is not want and not (want is float and type(value) is int):
+        raise ConfigError("config path %r must be %s, got %s %r"
+                          % (path, want.__name__, type(value).__name__, value))
+    if want is list and default:
+        for i, item in enumerate(value):
+            _check_leaf("%s[%d]" % (path, i), default[0], item)
+
+
+def _merge_known(base, override, schema=DEFAULT_CONFIG, prefix=""):
+    """base with override merged in. Every override path must exist in
+    `schema`, sections (dicts) may only be merged into sections, and each
+    leaf is checked against the schema's default by _check_leaf."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         path = prefix + key
-        if key not in out:
+        if key not in schema:
             raise ConfigError("unknown config path %r" % path)
-        if isinstance(out[key], dict) != isinstance(value, dict):
+        if isinstance(schema[key], dict) != isinstance(value, dict):
             raise ConfigError("config path %r must %sbe an object"
-                              % (path, "" if isinstance(out[key], dict) else "not "))
+                              % (path, "" if isinstance(schema[key], dict) else "not "))
         if isinstance(value, dict):
-            out[key] = _merge_known(out[key], value, path + ".")
+            out[key] = _merge_known(out[key], value, schema[key], path + ".")
             continue
-        want = type(out[key])
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ConfigError("config path %r must be %s, got %s %r"
-                              % (path, want.__name__, type(value).__name__, value))
+        _check_leaf(path, schema[key], value)
         out[key] = copy.deepcopy(value)
     return out
 
@@ -131,11 +142,11 @@ def _provenance(config, **extra):
 
 
 def _mel_config(config):
-    return MelConfig.from_dict(config["mel"])
+    return MelConfig(**config["mel"])
 
 
 def _aug_spec(config):
-    return AugmentationSpec.from_dict(config["augmentation"])
+    return AugmentationSpec(**config["augmentation"])
 
 
 def _artifact_id(config):
@@ -150,7 +161,7 @@ def _feature_manifest(config):
     path = os.path.join(_features_dir(config), "manifest.jsonl")
     if not os.path.exists(path):
         raise DataError("feature manifest missing; run `extract` first (%s)" % path)
-    return read_manifest(path), _features_dir(config)
+    return read_manifest(path)
 
 
 def _load_mels(records, config):
@@ -196,10 +207,10 @@ def _window_frames(config):
 def cmd_synth(config):
     corpus_dir = config["paths"]["corpus_dir"]
     records = generate_synthetic_corpus(
-        corpus_dir, num_tracks=int(config["corpus"]["num_tracks"]),
+        corpus_dir, num_tracks=config["corpus"]["num_tracks"],
         seed=config["seed"], duration_s=float(config["corpus"]["duration_s"]),
-        sample_rate_hz=int(config["mel"]["sample_rate_hz"]),
-        test_fraction=float(config["corpus"]["test_fraction"]))
+        sample_rate_hz=config["mel"]["sample_rate_hz"],
+        test_fraction=config["corpus"]["test_fraction"])
     print("synth: wrote %d tracks to %s" % (len(records), corpus_dir))
 
 
@@ -215,10 +226,12 @@ def cmd_extract(config):
 
 
 def cmd_train(config):
-    records, base = _feature_manifest(config)
-    train_cfg = TrainConfig.from_dict(dict(config["train"], rng_seed=config["seed"]))
-    params, losses = train(records, _aug_spec(config), train_cfg,
-                           _mel_config(config), base_dir=base)
+    records = _feature_manifest(config)
+    spec = _aug_spec(config)
+    train_cfg = TrainConfig(**config["train"], rng_seed=config["seed"])
+    mels = {mel.source_id: mel for mel in
+            _load_mels(usable_train_tracks(records, spec), config)}
+    params, losses = train(records, mels, spec, train_cfg)
     ckpt = _checkpoint_dir(config)
     save_checkpoint(ckpt, params, train_cfg, config["mel"]["num_bands"],
                     step=train_cfg.total_steps,
@@ -230,7 +243,7 @@ def cmd_train(config):
 
 
 def cmd_embed(config):
-    records, _ = _feature_manifest(config)
+    records = _feature_manifest(config)
     params = _load_checkpoint(config)
     mels = _load_mels(records, config)
     emb = build_embedding_set(
@@ -242,7 +255,7 @@ def cmd_embed(config):
 
 
 def cmd_sweep(config):
-    records, _ = _feature_manifest(config)
+    records = _feature_manifest(config)
     params = _load_checkpoint(config)
     kind = config["metrics"]["sweep_kind"]
     grid = (config["metrics"]["stretch_grid"] if kind == "time_stretch"
@@ -267,9 +280,9 @@ def _load_embeddings(config):
 
 
 def cmd_neighborhood(config):
-    records, _ = _feature_manifest(config)
+    records = _feature_manifest(config)
     emb = _load_embeddings(config)
-    k_grid = [int(k) for k in config["metrics"]["k_grid"]]
+    k_grid = config["metrics"]["k_grid"]
     report = compute_neighborhood_report(emb, records, k_grid,
                                          provenance=_provenance(config))
     stem = os.path.join(config["paths"]["output_dir"],
@@ -280,9 +293,9 @@ def cmd_neighborhood(config):
 
 
 def cmd_retrieval(config):
-    records, _ = _feature_manifest(config)
+    records = _feature_manifest(config)
     emb = _load_embeddings(config)
-    k_grid = [int(k) for k in config["metrics"]["k_grid"]]
+    k_grid = config["metrics"]["k_grid"]
     rows = [{"k": k, "tag_precision": tag_precision(emb, records, k),
              "tag_retrieval": tag_retrieval(emb, records, k)} for k in k_grid]
     stem = os.path.join(config["paths"]["output_dir"],
@@ -296,9 +309,9 @@ def cmd_retrieval(config):
 
 
 def cmd_probe(config):
-    records, _ = _feature_manifest(config)
+    records = _feature_manifest(config)
     emb = _load_embeddings(config)
-    probe_cfg = ProbeConfig.from_dict(dict(config["probe"], rng_seed=config["seed"]))
+    probe_cfg = ProbeConfig(**config["probe"], rng_seed=config["seed"])
     model, losses = train_probe(emb, records, probe_cfg)
     out = config["paths"]["output_dir"]
     probe_dir = os.path.join(out, "probe-%s" % _artifact_id(config))

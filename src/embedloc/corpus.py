@@ -16,7 +16,7 @@ import numpy as np
 from . import tensorio
 from .analysis import PITCH_CLASSES
 from .augment import AugmentationSpec, derive_rng
-from .errors import DataError, TrackTooShort
+from .errors import ConfigError, DataError, TrackTooShort
 from .melfront import (MelConfig, MelSpectrogram, compute_mel, load_pcm_f32,
                        load_pcm_wav, write_pcm_wav)
 
@@ -251,6 +251,10 @@ def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
     BPM values cycle through an integer grid in [60, 180]; keys cycle
     through all 24 labels; timbre families alternate.
     """
+    if num_tracks < 1:
+        raise ConfigError("num_tracks must be at least 1, got %d" % num_tracks)
+    if not 0.0 <= test_fraction <= 1.0:
+        raise ConfigError("test_fraction must be in [0, 1], got %g" % test_fraction)
     rng = derive_rng(seed, "corpus")
     os.makedirs(out_dir, exist_ok=True)
     bpm_grid = np.linspace(60, 180, 25).round().astype(int)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorio
 from .augment import AugmentationSpec, apply_chain, derive_rng
-from .corpus import PAIR_MAX_SEPARATION_S, load_track_mel, sample_pair
+from .corpus import PAIR_MAX_SEPARATION_S, sample_pair
 from .errors import ConfigError, DataError, NumericalError
 
 
@@ -41,13 +41,6 @@ class TrainConfig:
             raise ConfigError("need at least 2 pairs per batch")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must be in [0, 1)")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 ENVELOPE_LAGS = np.unique(np.round(
@@ -198,26 +191,26 @@ def _stack_buffer(view, n):
     return np.empty((n,) + view.shape)
 
 
-def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
-          mel_config, base_dir="", mel_cache=None):
-    """SGD over NT-Xent on augmented local pairs; single-threaded and
-    bit-reproducible for a fixed seed.
+def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
+    """SGD over NT-Xent on augmented local pairs drawn from `mels`, the
+    loaded MelSpectrograms by track id; single-threaded, bit-reproducible
+    for a fixed seed, and free of file I/O.
 
     Returns (params, per-step loss list).
     """
     tracks = usable_train_tracks(records, aug_spec)
     if len(tracks) < 2:
         raise DataError("need at least 2 usable train tracks, have %d" % len(tracks))
-    if mel_cache is None:
-        mel_cache = {}
-    for rec in tracks:
-        if rec.track_id not in mel_cache:
-            mel_cache[rec.track_id] = load_track_mel(rec, mel_config, base_dir)
+    missing = [rec.track_id for rec in tracks if rec.track_id not in mels]
+    if missing:
+        raise DataError("no spectrogram loaded for train track(s) %s"
+                        % ", ".join(missing))
 
     seed = config.rng_seed
     init_rng = derive_rng(seed, "init")
-    params = EncoderParams.init(mel_config.num_bands, config.hidden_units,
-                                config.embedding_dim, init_rng)
+    params = EncoderParams.init(mels[tracks[0].track_id].num_bands,
+                                config.hidden_units, config.embedding_dim,
+                                init_rng)
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     losses = []
     # every step's views are written into one buffer, view vi of pair i
@@ -228,7 +221,7 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
         picks = step_rng.integers(0, len(tracks), size=config.batch_pairs)
         for i, ti in enumerate(picks):
             rec = tracks[ti]
-            pair = sample_pair(rec, mel_cache[rec.track_id], aug_spec,
+            pair = sample_pair(rec, mels[rec.track_id], aug_spec,
                                derive_rng(seed, "pair", step, i))
             for vi, seg in enumerate((pair.anchor, pair.positive)):
                 out = apply_chain(seg, aug_spec,
@@ -254,7 +247,7 @@ def train(records, aug_spec: AugmentationSpec, config: TrainConfig,
 
 def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
                     num_bands, step, extra=None):
-    header = {"config": config.to_dict(), "num_bands": num_bands,
+    header = {"config": asdict(config), "num_bands": num_bands,
               "step": step, "seed": config.rng_seed}
     header.update(extra or {})
     tensorio.save_params(path, params.tensors(), header)
@@ -263,6 +256,6 @@ def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
 def load_checkpoint(path):
     tensors, header = tensorio.load_params(path)
     try:
-        return EncoderParams(**tensors), TrainConfig.from_dict(header["config"]), header
+        return EncoderParams(**tensors), TrainConfig(**header["config"]), header
     except (KeyError, TypeError) as exc:
         raise DataError("checkpoint %s: bad header: %r" % (path, exc))

@@ -7,8 +7,9 @@ consumers that need normalized rows divide by the row sum.
 """
 
 import functools
+import os
 import wave
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +60,6 @@ class MelConfig:
     def frames_per_second(self):
         return self.sample_rate_hz / self.hop
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class MelFilterbank:
@@ -112,8 +106,7 @@ class MelSpectrogram:
             raise DataError("%s holds a %s tensor, not %d mel bands by frames"
                             % (path, "x".join(map(str, values.shape)),
                                config.num_bands))
-        return cls(values=values.astype(float), config=config,
-                   source_id=source_id)
+        return cls(values=values, config=config, source_id=source_id)
 
 
 def band_grid_mel(config):
@@ -175,20 +168,27 @@ def log_silence(config):
 
 
 def load_pcm_wav(path):
-    """Mono 16-bit little-endian WAV -> (float samples in [-1, 1), rate)."""
+    """Mono 16-bit little-endian WAV -> (float samples in [-1, 1), rate).
+    A file that holds fewer sample bytes than its header declares raises
+    DataError before any are read, so the header sizes no allocation."""
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open(path, "rb") as fh, wave.open(fh, "rb") as wf:
             if wf.getnchannels() != 1:
                 raise DataError("%s: expected mono WAV" % path)
             if wf.getsampwidth() != 2:
                 raise DataError("%s: expected 16-bit samples" % path)
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            declared = wf.getnframes()
+            # wave.open leaves the file at the start of the data chunk
+            present = os.fstat(fh.fileno()).st_size - fh.tell()
+            if 2 * declared > present:
+                raise DataError("%s: data chunk holds %d bytes, but the header"
+                                " declares %d frames (%d bytes)"
+                                % (path, present, declared, 2 * declared))
+            raw = wf.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise DataError("%s: not a readable WAV file: %s"
                         % (path, str(exc) or "header cut short")) from exc
-    if len(raw) % 2:
-        raise DataError("%s: sample data ends inside a sample" % path)
     pcm = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
     return pcm, rate
 

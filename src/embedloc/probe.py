@@ -34,13 +34,6 @@ class ProbeConfig:
         if self.batch_size < 1 or self.total_steps < 1:
             raise ConfigError("batch_size and total_steps must be positive")
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class ProbeModel:
@@ -178,7 +171,7 @@ def _check_aligned(estimates, truths):
 
 
 def save_probe(path, model: ProbeModel, config: ProbeConfig, extra=None):
-    header = {"config": config.to_dict(), "bpm_min": BPM_MIN, "bpm_max": BPM_MAX}
+    header = {"config": asdict(config), "bpm_min": BPM_MIN, "bpm_max": BPM_MAX}
     header.update(extra or {})
     tensorio.save_params(path, model.tensors(), header)
 
@@ -186,6 +179,6 @@ def save_probe(path, model: ProbeModel, config: ProbeConfig, extra=None):
 def load_probe(path):
     tensors, header = tensorio.load_params(path)
     try:
-        return ProbeModel(**tensors), ProbeConfig.from_dict(header["config"]), header
+        return ProbeModel(**tensors), ProbeConfig(**header["config"]), header
     except (KeyError, TypeError) as exc:
         raise DataError("probe %s: bad header: %r" % (path, exc))

@@ -97,7 +97,7 @@ def _read_exact(fh, size, path, what):
 
 
 def read_tensor(path):
-    """Read an EMLT file back into a numpy array."""
+    """Read an EMLT file back into a float64 numpy array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -117,7 +117,7 @@ def read_tensor(path):
                 "truncated payload in %s: dims %s need %d bytes, %d remain"
                 % (path, list(dims), size, remaining))
         try:
-            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).copy()
+            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).astype(float)
         except ValueError as exc:   # too many dims, or a zero-size shape numpy rejects
             raise TensorFormatError("dims %s in %s: %s" % (list(dims), path, exc))
 
@@ -146,6 +146,6 @@ def load_params(path):
             isinstance(meta, dict) and isinstance(meta.get("file"), str)
             for meta in index.values())):
         raise DataError("%s has no valid tensor index" % header_path)
-    tensors = {name: read_tensor(os.path.join(path, meta["file"])).astype(float)
+    tensors = {name: read_tensor(os.path.join(path, meta["file"]))
                for name, meta in index.items()}
     return tensors, header

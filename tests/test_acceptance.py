@@ -285,8 +285,7 @@ def trained_models(small_corpus, mel_config):
             spec = AugmentationSpec(chain=chain)
             cfg = TrainConfig(batch_pairs=24, total_steps=800,
                               warmup_steps=40, peak_lr=0.002, rng_seed=seed)
-            params, _ = encoder.train(records, spec, cfg, mel_config,
-                                      mel_cache=dict(mels))
+            params, _ = encoder.train(records, mels, spec, cfg)
             emb = build_embedding_set(mels.values(), params, window)
             out[(name, seed)] = (params, emb)
     return records, mels, window, out

@@ -192,6 +192,12 @@ def test_report_does_not_merge_its_own_report(tmp_path, capsys):
     ("probe", "dropout", "high"),
     ("metrics", "k_grid", 4),
     ("corpus", "num_tracks", True),
+    ("metrics", "k_grid", ["a"]),
+    ("metrics", "k_grid", [[2]]),
+    ("metrics", "k_grid", [1.5]),
+    ("metrics", "k_grid", [True]),
+    ("metrics", "stretch_grid", ["x", 1.0]),
+    ("metrics", "stretch_grid", [None, 1.0]),
 ])
 def test_wrong_typed_config_leaf_exits_2(tmp_path, capsys, section, leaf, value):
     path = tmp_path / "c.json"
@@ -205,9 +211,25 @@ def test_wrong_typed_config_leaf_exits_2(tmp_path, capsys, section, leaf, value)
     assert "Traceback" not in err
 
 
-def test_int_config_leaf_may_replace_a_float():
+def test_int_config_leaf_may_replace_a_float(tmp_path):
     cfg = cli.load_config(overrides=["corpus.duration_s=12", "train.peak_lr=1"])
     assert cfg["corpus"]["duration_s"] == 12 and cfg["train"]["peak_lr"] == 1
+    # an override is checked against the schema, not the int it replaces
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"train": {"peak_lr": 1}}))
+    cfg = cli.load_config(str(path), overrides=["train.peak_lr=0.5"])
+    assert cfg["train"]["peak_lr"] == 0.5
+
+
+@pytest.mark.parametrize("leaf,value", [("num_tracks", 0), ("num_tracks", -1),
+                                        ("test_fraction", -0.1),
+                                        ("test_fraction", 1.5)])
+def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value):
+    corpus_dir = tmp_path / "corpus"
+    assert cli.main(["synth", "--set", 'paths.corpus_dir="%s"' % corpus_dir,
+                     "--set", "corpus.%s=%s" % (leaf, value)]) == 2
+    assert leaf in capsys.readouterr().err
+    assert not corpus_dir.exists()
 
 
 @pytest.mark.parametrize("flag", [["--workers", "2"], ["--deterministic"]])
@@ -358,6 +380,8 @@ CORRUPT_INPUTS = [
     ("neighborhood", EMBEDDING_HEADER, lambda b: b'{"ids": ["a", 2, "c"]}', 3),
     ("retrieval", EMBEDDING_HEADER, lambda b: b'{"ids": ["a", "b"]}', 3),
     ("probe", "out/embeddings/none-s0.emlt", lambda b: b[:-8], 3),
+    # a data chunk holding half the frames its header declares
+    ("extract", "corpus/a.wav", lambda b: b[:len(b) // 2], 3),
 ]
 
 

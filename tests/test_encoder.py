@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from embedloc import encoder, melfront
+from embedloc import corpus, encoder, melfront, tensorio
 from embedloc.augment import (AugmentationSpec, TimeStretchParams, apply_chain,
                               derive_rng, time_stretch)
 from embedloc.corpus import TrackRecord, sample_pair
@@ -242,12 +242,29 @@ def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, ch
     spec = AugmentationSpec(chain=chain)
     cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
                       peak_lr=0.1, momentum=0.5, rng_seed=9)
-    params, losses = encoder.train(records, spec, cfg, mel_config,
-                                   mel_cache=dict(mels))
+    params, losses = encoder.train(records, mels, spec, cfg)
     ref_params, ref_losses = reference_train(records, spec, cfg, mel_config, mels)
     assert losses == ref_losses
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
+
+
+def test_train_opens_no_file_and_names_a_missing_track(random_tracks,
+                                                       monkeypatch):
+    records, mels = random_tracks
+
+    def no_io(*args, **kwargs):
+        raise AssertionError("train read a file")
+
+    monkeypatch.setattr(corpus, "load_track_mel", no_io)
+    monkeypatch.setattr(tensorio, "read_tensor", no_io)
+    spec = AugmentationSpec(chain=())
+    cfg = TrainConfig(batch_pairs=2, total_steps=2, warmup_steps=1)
+    _, losses = encoder.train(records, mels, spec, cfg)
+    assert len(losses) == 2
+    partial = {tid: mel for tid, mel in mels.items() if tid != "r3"}
+    with pytest.raises(DataError, match="r3"):
+        encoder.train(records, partial, spec, cfg)
 
 
 def test_train_reuses_one_batch_buffer_and_caches_only_pooled_features(
@@ -263,8 +280,7 @@ def test_train_reuses_one_batch_buffer_and_caches_only_pooled_features(
 
     monkeypatch.setattr(encoder, "encode", spy)
     cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1)
-    encoder.train(records, AugmentationSpec(chain=()), cfg, mel_config,
-                  mel_cache=dict(mels))
+    encoder.train(records, mels, AugmentationSpec(chain=()), cfg)
     batches = [b for b, _ in seen]
     assert len(batches) == 3 and batches[0].shape == (8, 96, 300)
     assert all(b is batches[0] for b in batches)
@@ -308,8 +324,7 @@ def tiny_training(small_corpus, mel_config):
     spec = AugmentationSpec(chain=())
     cfg = TrainConfig(batch_pairs=8, total_steps=40, warmup_steps=4,
                       peak_lr=0.003, rng_seed=5)
-    params, losses = encoder.train(records, spec, cfg, mel_config,
-                                   mel_cache=dict(mels))
+    params, losses = encoder.train(records, mels, spec, cfg)
     return records, mels, spec, cfg, params, losses
 
 
@@ -321,8 +336,7 @@ def test_train_loss_decreases(tiny_training):
 
 def test_train_is_deterministic(small_corpus, mel_config, tiny_training):
     records, mels, spec, cfg, params, losses = tiny_training
-    params2, losses2 = encoder.train(records, spec, cfg, mel_config,
-                                     mel_cache=dict(mels))
+    params2, losses2 = encoder.train(records, mels, spec, cfg)
     assert losses == losses2
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
@@ -330,9 +344,9 @@ def test_train_is_deterministic(small_corpus, mel_config, tiny_training):
 
 def test_train_rejects_empty_track_list(mel_config):
     with pytest.raises(DataError):
-        encoder.train([], AugmentationSpec(chain=()),
+        encoder.train([], {}, AugmentationSpec(chain=()),
                       TrainConfig(batch_pairs=4, total_steps=4,
-                                  warmup_steps=1), mel_config)
+                                  warmup_steps=1))
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny_training):
@@ -342,7 +356,7 @@ def test_checkpoint_roundtrip(tmp_path, tiny_training):
                             extra={"chain": "none"})
     back, back_cfg, header = encoder.load_checkpoint(path)
     assert header["chain"] == "none" and header["step"] == 40
-    assert back_cfg.to_dict() == cfg.to_dict()
+    assert back_cfg == cfg
     for name, tensor in params.tensors().items():
         np.testing.assert_allclose(back.tensors()[name], tensor, atol=1e-6)
 

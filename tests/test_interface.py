@@ -49,6 +49,9 @@ REMOVED = [
     (augment.butterworth_magnitude, "order"),
     (augment.EqParams, "order"),
     (augment.AugmentationSpec, "rng_seed"),
+    (encoder.train, "mel_config"),
+    (encoder.train, "base_dir"),
+    (encoder.train, "mel_cache"),
 ]
 
 

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -207,6 +210,22 @@ def test_unreadable_wav_is_a_data_error(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(DataError, match="t.wav"):
             melfront.load_pcm_wav(path)
+
+
+def test_wav_header_declaring_more_data_than_present_sizes_no_allocation(tmp_path):
+    path = tmp_path / "t.wav"
+    declared = 2 ** 31   # bytes; the file holds 56
+    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + declared) + b"WAVEfmt "
+                     + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+                     + b"data" + struct.pack("<I", declared) + b"\0" * 56)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="t.wav"):
+            melfront.load_pcm_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (96,), (2, 96, 50)])

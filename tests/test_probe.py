@@ -163,7 +163,7 @@ def test_probe_persistence(tmp_path):
     path = str(tmp_path / "probe")
     probe.save_probe(path, model, cfg, extra={"embedding": "none-s0"})
     back, back_cfg, header = probe.load_probe(path)
-    assert back_cfg.to_dict() == cfg.to_dict()
+    assert back_cfg == cfg
     assert header["embedding"] == "none-s0"
     assert header["bpm_min"] == 30 and header["bpm_max"] == 300
     for name, tensor in model.tensors().items():
