@@ -11,9 +11,9 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .melfront import MelSpectrogram, build_filterbank, log_silence
 
 TAU_RANGE = (0.75, 1.5)
@@ -186,18 +186,51 @@ def warp_band_position(u, mu, num_bands, sample_rate_hz):
 # transforms
 
 @functools.lru_cache(maxsize=64)
-def _natural_spline_band(n):
-    """Read-only (3, n) band of the natural-spline system on knots 0..n-1
-    for s = M / 6, a sixth of the second derivatives:
+def _natural_spline_system(n):
+    """Read-only sub-, main and super-diagonals (dl, d, du) of the
+    natural-spline system A s = D y on knots 0..n-1, for s = M / 6, a
+    sixth of the second derivatives M:
     s[i-1] + 4 s[i] + s[i+1] = y[i-1] - 2 y[i] + y[i+1] for interior i,
     and identity rows for s[0] = s[n-1] = 0."""
-    band = np.zeros((3, n))
-    band[0, 2:] = 1.0       # A[i, i+1] of the interior rows
-    band[1, 1:-1] = 4.0
-    band[1, [0, -1]] = 1.0
-    band[2, :-2] = 1.0      # A[i+1, i] of the interior rows
-    band.flags.writeable = False
-    return band
+    dl = np.ones(n - 1)     # A[i+1, i]
+    dl[-1] = 0.0
+    d = np.full(n, 4.0)
+    d[[0, -1]] = 1.0
+    du = np.ones(n - 1)     # A[i, i+1]
+    du[0] = 0.0
+    for diag in (dl, d, du):
+        diag.flags.writeable = False
+    return dl, d, du
+
+
+def _second_differences(values):
+    """D y: y[i-1] - 2 y[i] + y[i+1] on interior rows, 0 on the first and
+    last, in the memory layout of `values`."""
+    rhs = np.empty_like(values)
+    rhs[0] = rhs[-1] = 0.0
+    mid = np.subtract(values[2:], values[1:-1], out=rhs[1:-1])
+    mid -= values[1:-1]
+    mid += values[:-2]
+    return rhs
+
+
+def _solve_natural_spline(rhs):
+    """Solve A s = rhs in place when `rhs` is column-major (LAPACK's
+    layout); the wrapper works on its own copies of the diagonals."""
+    *_, s, info = dgtsv(*_natural_spline_system(rhs.shape[0]), rhs,
+                        overwrite_b=True)
+    if info != 0:   # A is strictly diagonally dominant, so never singular
+        raise NumericalError("natural-spline solve failed (info %d)" % info)
+    return s
+
+
+def _knot_weights(positions, n):
+    """Left knot i and weights a = t - i, b = 1 - a of each position t
+    clipped to [0, n-1]."""
+    t = np.clip(positions, 0, n - 1)
+    i = np.minimum(t.astype(int), n - 2)
+    a = t - i
+    return i, a, 1.0 - a
 
 
 def natural_spline(values, positions):
@@ -205,24 +238,19 @@ def natural_spline(values, positions):
     along axis 0 of a 2-D array), evaluated at positions clipped to
     [0, n-1]. Returns one row per position.
 
-    One banded solve gives s = M / 6 from the second derivatives M; on
-    [i, i+1], with a = t - i and b = 1 - a, the spline is
+    One tridiagonal solve gives s = M / 6 from the second derivatives M;
+    on [i, i+1], with a = t - i and b = 1 - a, the spline is
     b y[i] + a y[i+1] + (b^3 - b) s[i] + (a^3 - a) s[i+1].
-    The work is memory-bound, so it runs in place on C-ordered rows.
+    The work is memory-bound, so it runs in place in the layout of
+    `values`; the column-major transpose that time_stretch passes is
+    solved without a copy.
     """
-    values = np.ascontiguousarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    rhs = np.empty_like(values)
-    rhs[0] = rhs[-1] = 0.0
-    mid = np.subtract(values[2:], values[1:-1], out=rhs[1:-1])
-    mid -= values[1:-1]
-    mid += values[:-2]
-    s = np.ascontiguousarray(
-        solve_banded((1, 1), _natural_spline_band(n), rhs, overwrite_b=True))
-    t = np.clip(positions, 0, n - 1)
-    i = np.minimum(t.astype(int), n - 2)
-    a = (t - i)[:, None]
-    b = 1.0 - a
+    s = _solve_natural_spline(_second_differences(values))
+    i, a, b = _knot_weights(positions, n)
+    a = a[:, None]
+    b = b[:, None]
     out = values[i]
     out *= b
     term = values[i + 1]
@@ -235,6 +263,29 @@ def natural_spline(values, positions):
     term *= a ** 3 - a
     out += term
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _second_derivative_operator(n):
+    """Read-only n x n G = A^-1 D, so that s = G y for any samples y."""
+    g = np.ascontiguousarray(
+        _solve_natural_spline(_second_differences(np.eye(n, order="F"))))
+    g.flags.writeable = False
+    return g
+
+
+def natural_spline_operator(n, positions):
+    """The (len(positions), n) matrix W with W @ values equal to
+    natural_spline(values, positions) for values of n rows, up to
+    rounding: W = b I[i] + a I[i+1] + (b^3 - b) G[i] + (a^3 - a) G[i+1]."""
+    g = _second_derivative_operator(n)
+    i, a, b = _knot_weights(positions, n)
+    w = g[i] * (b ** 3 - b)[:, None]
+    w += g[i + 1] * (a ** 3 - a)[:, None]
+    rows = np.arange(len(i))
+    w[rows, i] += b
+    w[rows, i + 1] += a
+    return w
 
 
 def center_crop(x: MelSpectrogram, frames: int) -> MelSpectrogram:
@@ -270,13 +321,17 @@ def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
 
     Output band v interpolates the source column at the inverse warp
     position; positions beyond the top band (mu < 1) become silence.
+    The result is W @ values, computed as (values.T @ W.T).T so that it
+    comes out column-major, bands contiguous: OpenBLAS then splits the
+    product between threads along the bands, and 1 and 2 threads give
+    the same bits (row-major W @ values differed by ~4e-15).
     """
     u_count = x.num_bands
     cfg = x.config
     src_pos = warp_band_position(np.arange(u_count), 1.0 / p.mu,
                                  u_count, cfg.sample_rate_hz)
     valid = src_pos <= u_count - 1
-    out = natural_spline(x.values, src_pos)
+    out = (x.values.T @ natural_spline_operator(u_count, src_pos).T).T
     out[~valid, :] = log_silence(cfg)
     return x.copy(values=out)
 

@@ -126,6 +126,12 @@ def load_config(path=None, overrides=()):
             config["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
+    try:   # so that every command, not only those that augment, rejects it
+        AugmentationSpec(**config["augmentation"])
+    except ConfigError as exc:
+        origin = ([path] if path else []) + [
+            "--set " + item for item in overrides if item.startswith("augmentation.")]
+        raise ConfigError("augmentation from %s: %s" % (", ".join(origin), exc))
     return config
 
 

@@ -183,9 +183,10 @@ def usable_train_tracks(records, aug_spec: AugmentationSpec):
 
 def _stack_buffer(view, n):
     """An empty float64 (n,) + view.shape buffer laid out as np.stack lays
-    out n views like `view`: a column-major view (time stretch leaves one)
-    gives column-major rows. Pooling sums in memory order, so the layout
-    keeps its result equal to that of the stacked views."""
+    out n views like `view`: a column-major view (time stretch and pitch
+    shift leave one) gives column-major rows. Pooling sums in memory
+    order, so the layout keeps its result equal to that of the stacked
+    views."""
     if view.flags.f_contiguous and not view.flags.c_contiguous:
         return np.empty((n,) + view.shape[::-1]).transpose(0, 2, 1)
     return np.empty((n,) + view.shape)

@@ -333,9 +333,83 @@ def test_pitch_shift_matches_cubic_spline_oracle(mu):
 
 def test_natural_spline_two_knots_is_linear():
     values = np.array([[1.0, -2.0], [3.0, 4.0]])
-    out = augment.natural_spline(values, np.array([0.0, 0.25, 1.0, 7.0]))
-    np.testing.assert_allclose(out, [[1.0, -2.0], [1.5, -0.5],
-                                     [3.0, 4.0], [3.0, 4.0]], atol=1e-15)
+    positions = np.array([0.0, 0.25, 1.0, 7.0])
+    want = [[1.0, -2.0], [1.5, -0.5], [3.0, 4.0], [3.0, 4.0]]
+    np.testing.assert_allclose(augment.natural_spline(values, positions),
+                               want, atol=1e-15)
+    np.testing.assert_allclose(
+        augment.natural_spline_operator(2, positions) @ values, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 96])
+def test_spline_operator_matches_the_solve_path(n):
+    rng = np.random.default_rng(35)
+    values = rng.uniform(-4.0, 2.0, size=(n, 50))
+    positions = np.concatenate([
+        np.arange(n, dtype=float),                 # at the knots
+        rng.uniform(0.0, n - 1.0, size=40),        # between them
+        [-3.0, -0.5, n - 0.5, n + 4.0]])           # clipped to [0, n-1]
+    w = augment.natural_spline_operator(n, positions)
+    assert w.shape == (len(positions), n)
+    solved = augment.natural_spline(values, positions)
+    assert np.abs(w @ values - solved).max() <= 1e-14
+
+
+def test_spline_system_and_operator_are_cached_read_only():
+    for n in (2, 96):
+        system = augment._natural_spline_system(n)
+        g = augment._second_derivative_operator(n)
+        assert augment._natural_spline_system(n) is system
+        assert augment._second_derivative_operator(n) is g
+        assert g.shape == (n, n)
+        for arr in system + (g,):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# composition properties on inputs smooth enough to resample
+
+def smooth_mel(rng, frames, axis):
+    """Three sinusoids of 24 to 55 samples' period along `axis` (0: bands,
+    1: frames), each with a random phase per row or column."""
+    shape = (CFG.num_bands, frames)
+    pos = np.arange(shape[axis], dtype=float)[:, None]
+    phases = rng.uniform(0.0, 2 * np.pi, size=(3, shape[1 - axis]))
+    values = sum(np.sin(2 * np.pi * pos / period + phase)
+                 for period, phase in zip((24.0, 37.0, 55.0), phases))
+    return melfront.MelSpectrogram(values=-1.0 + (values if axis == 0 else values.T),
+                                   config=CFG, source_id="smooth")
+
+
+@pytest.mark.parametrize("tau1,tau2", [(0.8, 1.25), (1.5, 0.75), (1.2, 1.3)])
+def test_time_stretch_twice_is_one_stretch_by_the_product(tau1, tau2):
+    x = smooth_mel(np.random.default_rng(36), 600, axis=1)
+    twice = augment.time_stretch(augment.time_stretch(
+        x, TimeStretchParams(tau=tau1)), TimeStretchParams(tau=tau2)).values
+    once = augment.time_stretch(x, TimeStretchParams(tau=tau1 * tau2)).values
+    n = min(twice.shape[1], once.shape[1])
+    interior = slice(12, n - 12)
+    # measured worst 7.7e-5 (tau 1.5 then 0.75) over these pairs, seeds 0-4
+    assert np.abs(twice[:, interior] - once[:, interior]).max() <= 1e-4
+
+
+@pytest.mark.parametrize("mu", [0.749, 0.8, 1.25, 1.335])
+def test_pitch_shift_then_its_inverse_is_identity_in_range(mu):
+    u_count, rate = CFG.num_bands, CFG.sample_rate_hz
+    x = smooth_mel(np.random.default_rng(37), 300, axis=0)
+    back = augment.pitch_shift(augment.pitch_shift(
+        x, PitchShiftParams(mu=mu)), PitchShiftParams(mu=1.0 / mu)).values
+    bands = np.arange(u_count)
+    # rows of the first shift's output that hold source content (the rest
+    # are silence when mu < 1); the second shift reads them at warp(v, mu)
+    kept = np.sum(augment.warp_band_position(bands, 1.0 / mu, u_count, rate)
+                  <= u_count - 1)
+    in_range = augment.warp_band_position(bands, mu, u_count, rate) <= kept - 1 - 8
+    assert in_range.sum() >= 75
+    # measured worst 3.4e-3 (mu 0.749) over these factors, seeds 0-4
+    assert np.abs(back[in_range] - x.values[in_range]).max() <= 5e-3
 
 
 def test_eq_basis_cached_matches_explicit_filterbank():

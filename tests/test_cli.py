@@ -232,6 +232,19 @@ def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value
     assert not corpus_dir.exists()
 
 
+@pytest.mark.parametrize("command,chain", [("synth", "[1]"), ("extract", '["XX"]'),
+                                           ("report", '["PS", "TS"]')])
+def test_bad_augmentation_chain_exits_2_at_every_command(tmp_path, capsys,
+                                                         command, chain):
+    corpus_dir = tmp_path / "corpus"
+    assert cli.main([command, "--set", 'paths.corpus_dir="%s"' % corpus_dir,
+                     "--set", "augmentation.chain=%s" % chain]
+                    + _out_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "augmentation.chain" in err
+    assert not corpus_dir.exists() and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", [["--workers", "2"], ["--deterministic"]])
 def test_removed_flags_are_unknown_arguments(flag, capsys):
     assert cli.main(["report"] + flag) == 2
@@ -382,6 +395,9 @@ CORRUPT_INPUTS = [
     ("probe", "out/embeddings/none-s0.emlt", lambda b: b[:-8], 3),
     # a data chunk holding half the frames its header declares
     ("extract", "corpus/a.wav", lambda b: b[:len(b) // 2], 3),
+    # a chain that only the augmenting commands used to build and reject
+    ("synth", "c.json", lambda b: b'{"augmentation": {"chain": [1]}}', 2),
+    ("extract", "c.json", lambda b: b'{"augmentation": {"chain": ["XX"]}}', 2),
 ]
 
 

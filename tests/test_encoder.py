@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,8 +160,8 @@ BLOCK = encoder.POOL_BLOCK_VIEWS
 def test_pool_features_equals_the_plain_reference_bitwise(views, frames):
     rng = np.random.default_rng(views * 1000 + frames)
     x = rng.uniform(-4, 1, size=(views, 96, frames))
-    # row-major views, column-major views stacked (as time-stretched views
-    # are), and float32 input
+    # row-major views, column-major views stacked (as time-stretched and
+    # pitch-shifted views are), and float32 input
     column_major = np.stack([np.asfortranarray(v) for v in x])
     for batch in (x, column_major, x.astype(np.float32)):
         np.testing.assert_array_equal(encoder.pool_features(batch),
@@ -235,7 +238,7 @@ def random_tracks(mel_config):
     return records, mels
 
 
-# TS alone leaves column-major views; the other two leave row-major ones
+# the empty chain leaves row-major views; TS and PS leave column-major ones
 @pytest.mark.parametrize("chain", [(), ("TS",), ("TS", "PS", "EQ")])
 def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, chain):
     records, mels = random_tracks
@@ -247,6 +250,51 @@ def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, ch
     assert losses == ref_losses
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
+
+
+TRAIN_AND_SAVE = """
+import sys
+import numpy as np
+from embedloc import encoder, melfront
+from embedloc.augment import AugmentationSpec
+from embedloc.corpus import TrackRecord
+mel_config = melfront.MelConfig()
+rng = np.random.default_rng(8)
+records = [TrackRecord("r%d" % i, "r%d.emlt" % i, 16.0) for i in range(5)]
+mels = {r.track_id: melfront.MelSpectrogram(
+    rng.uniform(-4, 1, size=(mel_config.num_bands, 1600)), mel_config,
+    r.track_id) for r in records}
+config = encoder.TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
+                             peak_lr=0.1, momentum=0.5, rng_seed=9)
+params, losses = encoder.train(records, mels,
+                               AugmentationSpec(("TS", "PS", "EQ")), config)
+encoder.save_checkpoint(sys.argv[1], params, config, mel_config.num_bands,
+                        step=config.total_steps)
+# the float64 state, which the float32 checkpoint tensors round away
+print(repr(losses), [t.tobytes().hex() for t in params.tensors().values()])
+"""
+
+
+def test_training_does_not_depend_on_blas_threads(tmp_path):
+    # pitch shift and the encoder run GEMMs large enough for OpenBLAS to
+    # split across threads; neither the checkpoint nor the float64 state
+    # it was rounded from may change
+    package_root = os.path.dirname(os.path.dirname(encoder.__file__))
+    runs = []
+    for i, threads in enumerate(("1", "2", "1")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        ckpt = tmp_path / str(i)
+        done = subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(ckpt)],
+                              env=env, check=True, timeout=300,
+                              capture_output=True, text=True)
+        runs.append({p.name: p.read_bytes() for p in ckpt.iterdir()})
+        runs[-1]["float64 state"] = done.stdout
+    assert sorted(runs[0]) == ["b1.emlt", "b2.emlt", "float64 state",
+                               "header.json", "w1.emlt", "w2.emlt"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_train_opens_no_file_and_names_a_missing_track(random_tracks,
