@@ -289,10 +289,10 @@ def natural_spline_operator(n, positions):
 
 
 def center_crop(x: MelSpectrogram, frames: int) -> MelSpectrogram:
+    """The middle `frames` frames of `x`, as a read-only window of it."""
     if x.num_frames < frames:
         raise DataError("cannot crop %d frames from %d" % (frames, x.num_frames))
-    start = (x.num_frames - frames) // 2
-    return x.copy(values=x.values[:, start:start + frames])
+    return x.window((x.num_frames - frames) // 2, frames)
 
 
 def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
@@ -417,7 +417,9 @@ def random_resized_crop(x: MelSpectrogram, p: RrcParams,
 
 def apply_chain(x: MelSpectrogram, spec: AugmentationSpec, rng) -> MelSpectrogram:
     """Sample parameters for every enabled stage from `rng` and apply them
-    in pipeline order; the result always has output_seconds of frames."""
+    in pipeline order; the result always has output_seconds of frames.
+    With no stage it is a read-only window of `x`; every stage writes only
+    into arrays it allocates, so `x` is never modified."""
     ctx = spec.context_frames(x.config)
     out = spec.output_frames(x.config)
     if x.num_frames < ctx:

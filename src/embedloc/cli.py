@@ -126,8 +126,15 @@ def load_config(path=None, overrides=()):
             config["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
+    mel = _mel_config(config)
     try:   # so that every command, not only those that augment, rejects it
-        AugmentationSpec(**config["augmentation"])
+        spec = _aug_spec(config)
+        # pooling takes frame differences, which need 2 frames per window
+        frames = spec.output_frames(mel)
+        if frames < 2:
+            raise ConfigError("output_seconds %g is %d frame(s) at %g frames/s;"
+                              " need at least 2" % (spec.output_seconds, frames,
+                                                    mel.frames_per_second))
     except ConfigError as exc:
         origin = ([path] if path else []) + [
             "--set " + item for item in overrides if item.startswith("augmentation.")]

@@ -183,7 +183,8 @@ def sample_pair_offsets(duration_s, context_s, rng):
 
 def sample_pair(record: TrackRecord, mel: MelSpectrogram,
                 spec: AugmentationSpec, rng) -> PairSample:
-    """Draw a locally-positioned pair of context segments from one track."""
+    """Draw a locally-positioned pair of context segments from one track,
+    as read-only windows of `mel`."""
     cfg = mel.config
     ctx_frames = spec.context_frames(cfg)
     a_off, p_off = sample_pair_offsets(record.duration_s, spec.context_seconds, rng)
@@ -194,7 +195,7 @@ def sample_pair(record: TrackRecord, mel: MelSpectrogram,
         if start < 0:
             raise TrackTooShort("track %s has %d frames, need %d"
                                 % (record.track_id, mel.num_frames, ctx_frames))
-        return mel.copy(values=mel.values[:, start:start + ctx_frames])
+        return mel.window(start, ctx_frames)
 
     return PairSample(anchor=segment(a_off), positive=segment(p_off),
                       track_id=record.track_id,

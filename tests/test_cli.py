@@ -398,6 +398,13 @@ CORRUPT_INPUTS = [
     # a chain that only the augmenting commands used to build and reject
     ("synth", "c.json", lambda b: b'{"augmentation": {"chain": [1]}}', 2),
     ("extract", "c.json", lambda b: b'{"augmentation": {"chain": ["XX"]}}', 2),
+    # output windows under the 2 frames that pooling differences need
+    ("embed", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0}}', 2),
+    ("sweep", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0}}', 2),
+    ("embed", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0.01}}', 2),
+    ("sweep", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0.01}}', 2),
+    ("train", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0.01}}', 2),
+    ("train", "c.json", lambda b: b'{"augmentation": {"output_seconds": -1}}', 2),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from embedloc import analysis, corpus, melfront
+from embedloc import analysis, augment, corpus, encoder, melfront
 from embedloc.augment import AugmentationSpec, derive_rng
 from embedloc.errors import DataError, TrackTooShort
 
@@ -231,15 +231,30 @@ def test_manifest_write_that_fails_partway_leaves_nothing(tmp_path):
     assert [r.to_dict() for r in corpus.read_manifest(path)] == [good.to_dict()]
 
 
-def test_pair_segments_do_not_alias_the_track():
+def test_pair_segments_and_crops_are_read_only_windows_and_train_writes_no_track():
     cfg = melfront.MelConfig()
-    values = np.random.default_rng(8).uniform(-3, 1, size=(cfg.num_bands, 1600))
-    mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="t")
-    pair = corpus.sample_pair(corpus.TrackRecord("t", "t.emlt", 16.0), mel,
-                              AugmentationSpec(), derive_rng(9, "pair"))
-    anchor = pair.anchor.values.copy()
-    mel.values[:] = 0.0
-    np.testing.assert_array_equal(pair.anchor.values, anchor)
+    rng = np.random.default_rng(8)
+    records = [corpus.TrackRecord("t%d" % i, "t%d.emlt" % i, 16.0) for i in range(3)]
+    mels = {r.track_id: melfront.MelSpectrogram(
+        values=rng.uniform(-3, 1, size=(cfg.num_bands, 1600)), config=cfg,
+        source_id=r.track_id) for r in records}
+    kept = {tid: mel.values.copy() for tid, mel in mels.items()}
+    mel = mels["t0"]
+    pair = corpus.sample_pair(records[0], mel, AugmentationSpec(),
+                              derive_rng(9, "pair"))
+    crop = augment.center_crop(pair.anchor, 300)
+    for seg in (pair.anchor, pair.positive, crop):
+        assert np.shares_memory(seg.values, mel.values)
+        assert not seg.values.flags.writeable
+        with pytest.raises(ValueError):
+            seg.values[0, 0] = 0.0
+    for chain in ((), ("TS", "PS", "EQ")):
+        encoder.train(records, mels, AugmentationSpec(chain=chain),
+                      encoder.TrainConfig(batch_pairs=4, total_steps=2,
+                                          warmup_steps=1))
+    for tid, mel in mels.items():
+        assert mel.values.flags.writeable
+        np.testing.assert_array_equal(mel.values, kept[tid])
 
 
 def test_extract_with_an_unreadable_wav_exits_3_and_writes_no_manifest(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedloc import corpus, embedspace, encoder, locality, melfront
+from embedloc import augment, corpus, embedspace, encoder, locality, melfront
 from embedloc.embedspace import EmbeddingSet
 from embedloc.errors import DataError, TrackTooShort
 
@@ -59,6 +59,22 @@ def test_embed_track_unit_norm_and_short_error():
                                     source_id="s")
     with pytest.raises(TrackTooShort):
         embedspace.embed_track(short, params, 300)
+
+
+@pytest.mark.parametrize("tau", [None, 0.84, 1.19])
+def test_embed_track_pools_its_windows_as_a_stacked_batch_bitwise(tau):
+    # the sweep embeds time-stretched tracks, whose values are column-major
+    cfg = melfront.MelConfig()
+    rng = np.random.default_rng(3)
+    params = encoder.EncoderParams.init(cfg.num_bands, 32, 8, rng)
+    mel = melfront.MelSpectrogram(values=rng.uniform(-4, 1, size=(cfg.num_bands, 1400)),
+                                  config=cfg, source_id="e")
+    if tau is not None:
+        mel = augment.time_stretch(mel, augment.TimeStretchParams(tau=tau))
+        assert mel.values.flags.f_contiguous
+    z = encoder.encode(params, np.stack(embedspace.track_windows(mel, 300)))
+    want = z.mean(axis=0) / np.linalg.norm(z.mean(axis=0))
+    np.testing.assert_array_equal(embedspace.embed_track(mel, params, 300), want)
 
 
 def test_knn_matches_brute_force():

@@ -152,10 +152,7 @@ def reference_pool_features(batch_values):
     return np.concatenate([mean, 16.0 * diff, 24.0 * ac], axis=1)
 
 
-BLOCK = encoder.POOL_BLOCK_VIEWS
-
-
-@pytest.mark.parametrize("views", [1, BLOCK - 1, BLOCK, BLOCK + 1, 128])
+@pytest.mark.parametrize("views", [1, 3, 4, 5, 128])
 @pytest.mark.parametrize("frames", [2, 300])
 def test_pool_features_equals_the_plain_reference_bitwise(views, frames):
     rng = np.random.default_rng(views * 1000 + frames)
@@ -168,11 +165,22 @@ def test_pool_features_equals_the_plain_reference_bitwise(views, frames):
                                       reference_pool_features(batch))
     np.testing.assert_array_equal(encoder.pool_features(x[0]),
                                   reference_pool_features(x[0]))
+    # windows of a longer track, as sample_pair and center_crop leave
+    # them: strided row-major ones in a list and from a generator, and
+    # column-major ones (a time-stretched track's, as the sweep embeds)
+    track = rng.uniform(-4, 1, size=(96, 3 * frames + 7))
+    starts = rng.integers(0, track.shape[1] - frames + 1, size=views)
+    for source in (track, np.asfortranarray(track)):
+        windows = [source[:, s:s + frames] for s in starts]
+        want = reference_pool_features(np.stack(windows))
+        np.testing.assert_array_equal(encoder.pool_features(windows), want)
+        np.testing.assert_array_equal(
+            encoder.pool_features(w for w in windows), want)
 
 
 def test_pool_features_returns_a_fresh_array_each_call():
     rng = np.random.default_rng(6)
-    a_in, b_in = rng.uniform(-4, 1, size=(2, 2 * BLOCK + 1, 96, 300))
+    a_in, b_in = rng.uniform(-4, 1, size=(2, 9, 96, 300))
     a = encoder.pool_features(a_in)
     kept = a.copy()
     b = encoder.pool_features(b_in)
@@ -315,25 +323,35 @@ def test_train_opens_no_file_and_names_a_missing_track(random_tracks,
         encoder.train(records, partial, spec, cfg)
 
 
-def test_train_reuses_one_batch_buffer_and_caches_only_pooled_features(
+def test_train_keeps_no_batch_array_and_caches_only_pooled_features(
         random_tracks, mel_config, monkeypatch):
     records, mels = random_tracks
-    seen = []
+    caches = []
     real_encode = encoder.encode
 
-    def spy(params, batch_values, return_cache=False):
-        z, cache = real_encode(params, batch_values, return_cache=True)
-        seen.append((batch_values, cache))
+    def spy(params, views, return_cache=False):
+        z, cache = real_encode(params, views, return_cache=True)
+        caches.append(cache)
         return (z, cache) if return_cache else z
 
     monkeypatch.setattr(encoder, "encode", spy)
-    cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1)
-    encoder.train(records, mels, AugmentationSpec(chain=()), cfg)
-    batches = [b for b, _ in seen]
-    assert len(batches) == 3 and batches[0].shape == (8, 96, 300)
-    assert all(b is batches[0] for b in batches)
-    for _, cache in seen:
-        assert not any(np.shares_memory(a, batches[0]) for a in cache)
+    cfg = TrainConfig(batch_pairs=64, total_steps=2, warmup_steps=1)
+    for chain in ((), ("TS", "PS", "EQ")):
+        spec = AugmentationSpec(chain=chain)
+        batch_mb = (2 * cfg.batch_pairs * mel_config.num_bands
+                    * spec.output_frames(mel_config) * 8 / 1e6)   # 29.5 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            encoder.train(records, mels, spec, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 8.0 < batch_mb, chain
+    assert len(caches) == 4
+    for cache in caches:
+        assert not any(np.shares_memory(a, mel.values)
+                       for a in cache for mel in mels.values())
 
 
 # ---------------------------------------------------------------------------
