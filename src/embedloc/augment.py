@@ -24,6 +24,8 @@ HIGHPASS_CORNER_RANGE = (200.0, 1200.0)
 RRC_TIME_SCALE_RANGE = (0.6, 1.0)
 RRC_FREQ_SCALE_RANGE = (0.6, 1.0)
 EQ_ORDER = 3   # Butterworth order of the EQ filters
+SPLINE_REACH = 28      # H: the spline's |G[i, j]| < 2e-16 once |i - j| >= H
+TS_CHUNK_FRAMES = 64   # output frames per time-stretch matrix product
 
 STAGES = ("TS", "PS", "EQ", "RRC")
 
@@ -185,107 +187,84 @@ def warp_band_position(u, mu, num_bands, sample_rate_hz):
 # ---------------------------------------------------------------------------
 # transforms
 
-@functools.lru_cache(maxsize=64)
-def _natural_spline_system(n):
-    """Read-only sub-, main and super-diagonals (dl, d, du) of the
-    natural-spline system A s = D y on knots 0..n-1, for s = M / 6, a
-    sixth of the second derivatives M:
+@functools.lru_cache(maxsize=4)   # train's context, the band axis, a sweep's track
+def _second_derivative_band(n):
+    """Read-only (n, 2H + 2) band[i, d] = G[i, i - H + d] (H =
+    SPLINE_REACH) of the n x n G = A^-1 D that gives s = G y, a sixth of
+    the second derivatives of the natural spline through samples y at
+    knots 0..n-1. A and D are the tridiagonal system
     s[i-1] + 4 s[i] + s[i+1] = y[i-1] - 2 y[i] + y[i+1] for interior i,
-    and identity rows for s[0] = s[n-1] = 0."""
+    with identity rows for s[0] = s[n-1] = 0. Band entries whose column
+    lies outside 0..n-1 are 0. G[i, j] decays as (2 - sqrt(3))^|i - j|,
+    so every entry the band leaves out is below 2e-16.
+
+    One solve builds it in O(n H) memory, with no n x n array: its
+    right-hand sides are D C for the comb C[r, j] = [r = j mod P], so
+    column j of the solution sums G's columns j, j + P, j + 2P, ... For
+    a band entry the other columns of that sum lie at least P - H - 1
+    knots away, where they are too small to change its rounding, so the
+    band holds G's entries exactly."""
+    h, p = SPLINE_REACH, 4 * SPLINE_REACH
     dl = np.ones(n - 1)     # A[i+1, i]
     dl[-1] = 0.0
     d = np.full(n, 4.0)
     d[[0, -1]] = 1.0
     du = np.ones(n - 1)     # A[i, i+1]
     du[0] = 0.0
-    for diag in (dl, d, du):
-        diag.flags.writeable = False
-    return dl, d, du
-
-
-def _second_differences(values):
-    """D y: y[i-1] - 2 y[i] + y[i+1] on interior rows, 0 on the first and
-    last, in the memory layout of `values`."""
-    rhs = np.empty_like(values)
-    rhs[0] = rhs[-1] = 0.0
-    mid = np.subtract(values[2:], values[1:-1], out=rhs[1:-1])
-    mid -= values[1:-1]
-    mid += values[:-2]
-    return rhs
-
-
-def _solve_natural_spline(rhs):
-    """Solve A s = rhs in place when `rhs` is column-major (LAPACK's
-    layout); the wrapper works on its own copies of the diagonals."""
-    *_, s, info = dgtsv(*_natural_spline_system(rhs.shape[0]), rhs,
-                        overwrite_b=True)
+    rows = np.arange(1, n - 1)
+    rhs = np.zeros((n, p), order="F")       # rows 0 and n-1 of D are 0
+    rhs[rows, (rows - 1) % p] = 1.0
+    rhs[rows, rows % p] = -2.0
+    rhs[rows, (rows + 1) % p] = 1.0
+    # column-major right-hand sides are solved in place
+    *_, sums, info = dgtsv(dl, d, du, rhs, overwrite_b=True)
     if info != 0:   # A is strictly diagonally dominant, so never singular
         raise NumericalError("natural-spline solve failed (info %d)" % info)
-    return s
+    knots = np.arange(n)[:, None]
+    cols = knots - h + np.arange(2 * h + 2)
+    band = np.where((cols >= 0) & (cols < n), sums[knots, cols % p], 0.0)
+    band.flags.writeable = False
+    return band
 
 
-def _knot_weights(positions, n):
-    """Left knot i and weights a = t - i, b = 1 - a of each position t
-    clipped to [0, n-1]."""
+def _spline_weights(n, positions):
+    """(i - H, w) for the positions clipped to [0, n-1]: w[r] holds the
+    natural-spline weights of position r on the 2H + 3 knots
+    i - H .. i + H + 2 around its left knot i. On [i, i+1], with
+    a = t - i and b = 1 - a, the spline through y is
+    b y[i] + a y[i+1] + (b^3 - b) s[i] + (a^3 - a) s[i+1] with s = G y,
+    so the weights are b I[i] + a I[i+1] + (b^3 - b) G[i] + (a^3 - a) G[i+1]."""
+    band = _second_derivative_band(n)
+    h = SPLINE_REACH
     t = np.clip(positions, 0, n - 1)
     i = np.minimum(t.astype(int), n - 2)
     a = t - i
-    return i, a, 1.0 - a
+    b = 1.0 - a
+    w = np.zeros((len(i), 2 * h + 3))
+    np.multiply(band[i], (b ** 3 - b)[:, None], out=w[:, :-1])
+    w[:, 1:] += band[i + 1] * (a ** 3 - a)[:, None]
+    w[:, h] += b
+    w[:, h + 1] += a
+    return i - h, w
 
 
-def natural_spline(values, positions):
-    """Natural cubic spline through values[i] at knot i (unit spacing,
-    along axis 0 of a 2-D array), evaluated at positions clipped to
-    [0, n-1]. Returns one row per position.
-
-    One tridiagonal solve gives s = M / 6 from the second derivatives M;
-    on [i, i+1], with a = t - i and b = 1 - a, the spline is
-    b y[i] + a y[i+1] + (b^3 - b) s[i] + (a^3 - a) s[i+1].
-    The work is memory-bound, so it runs in place in the layout of
-    `values`; the column-major transpose that time_stretch passes is
-    solved without a copy.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    s = _solve_natural_spline(_second_differences(values))
-    i, a, b = _knot_weights(positions, n)
-    a = a[:, None]
-    b = b[:, None]
-    out = values[i]
-    out *= b
-    term = values[i + 1]
-    term *= a
-    out += term
-    term = s[i]
-    term *= b ** 3 - b
-    out += term
-    term = s[i + 1]
-    term *= a ** 3 - a
-    out += term
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _second_derivative_operator(n):
-    """Read-only n x n G = A^-1 D, so that s = G y for any samples y."""
-    g = np.ascontiguousarray(
-        _solve_natural_spline(_second_differences(np.eye(n, order="F"))))
-    g.flags.writeable = False
-    return g
+def _operator_columns(first, w, lo, hi):
+    """Columns lo..hi-1 of the matrix whose row r holds w[r] on the
+    columns from first[r] on and 0 elsewhere."""
+    rows, width = w.shape
+    start = min(lo, first.min())
+    block = np.zeros((rows, max(hi, first.max() + width) - start))
+    at = (np.arange(rows) * block.shape[1] + first - start)[:, None]
+    block.reshape(-1)[at + np.arange(width)] = w
+    return block[:, lo - start:hi - start]
 
 
 def natural_spline_operator(n, positions):
-    """The (len(positions), n) matrix W with W @ values equal to
-    natural_spline(values, positions) for values of n rows, up to
-    rounding: W = b I[i] + a I[i+1] + (b^3 - b) G[i] + (a^3 - a) G[i+1]."""
-    g = _second_derivative_operator(n)
-    i, a, b = _knot_weights(positions, n)
-    w = g[i] * (b ** 3 - b)[:, None]
-    w += g[i + 1] * (a ** 3 - a)[:, None]
-    rows = np.arange(len(i))
-    w[rows, i] += b
-    w[rows, i + 1] += a
-    return w
+    """The (len(positions), n) matrix W with W @ values the natural cubic
+    spline through values[i] at knot i (unit spacing, along axis 0),
+    evaluated at positions clipped to [0, n-1]:
+    W = b I[i] + a I[i+1] + (b^3 - b) G[i] + (a^3 - a) G[i+1]."""
+    return _operator_columns(*_spline_weights(n, positions), 0, n)
 
 
 def center_crop(x: MelSpectrogram, frames: int) -> MelSpectrogram:
@@ -299,7 +278,12 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
                  out_frames: int | None = None) -> MelSpectrogram:
     """Resample along time at positions tau*m with a natural cubic spline.
 
-    out_frames=None stretches the full source extent.
+    out_frames=None stretches the full source extent. The spline is a
+    linear map of the source frames, built from the band of G cached per
+    frame count. Each TS_CHUNK_FRAMES output frames are one matrix
+    product of their rows of that map with only the source frames those
+    rows reach, computed as rows @ values.T[lo:hi] so that the result
+    comes out column-major, as pitch_shift's does.
     """
     m_src = x.num_frames
     if m_src < 2:
@@ -312,8 +296,17 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
             "insufficient context: tau=%g over %d output frames needs %d "
             "source frames, have %d"
             % (p.tau, out_frames, int(np.ceil(p.tau * (out_frames - 1))) + 1, m_src))
-    t = p.tau * np.arange(out_frames)
-    return x.copy(values=natural_spline(x.values.T, t).T)
+    first, w = _spline_weights(m_src, p.tau * np.arange(out_frames))
+    width = w.shape[1]
+    frames = x.values.T
+    out = np.empty((out_frames, x.num_bands))
+    for r0 in range(0, out_frames, TS_CHUNK_FRAMES):
+        rows = slice(r0, r0 + TS_CHUNK_FRAMES)
+        lo = max(first[r0], 0)
+        hi = min(first[rows][-1] + width, m_src)
+        np.matmul(_operator_columns(first[rows], w[rows], lo, hi),
+                  frames[lo:hi], out=out[rows])
+    return x.copy(values=out.T)
 
 
 def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:

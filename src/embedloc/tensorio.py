@@ -39,13 +39,18 @@ def atomic_write(path, mode="wb", encoding=None):
     ends normally the file is moved onto `path` with os.replace; when it
     raises, the temporary file is removed. Either way no reader ever sees
     a partly written `path`. Text mode writes line endings untranslated,
-    as the csv module requires."""
+    as the csv module requires. A missing directory for `path` raises
+    DataError naming that directory."""
     path = os.fspath(path)
     tmp = "%s.%s.tmp" % (path, os.urandom(6).hex())
     newline = None if "b" in mode else ""
     try:
-        with open(tmp, mode.replace("w", "x"), encoding=encoding,
-                  newline=newline) as fh:
+        fh = open(tmp, mode.replace("w", "x"), encoding=encoding, newline=newline)
+    except FileNotFoundError:
+        raise DataError("cannot write %s: directory %s does not exist"
+                        % (path, os.path.dirname(path) or ".")) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -138,7 +143,8 @@ def save_params(path, tensors, header):
 
 def load_params(path):
     """Read a parameter set written by save_params: (tensors as float64
-    arrays by name, header)."""
+    arrays by name, header). A tensor whose shape differs from the dims
+    the header gives it raises DataError naming its file."""
     header_path = os.path.join(path, "header.json")
     header = read_json(header_path)
     index = header.get("tensors") if isinstance(header, dict) else None
@@ -146,6 +152,12 @@ def load_params(path):
             isinstance(meta, dict) and isinstance(meta.get("file"), str)
             for meta in index.values())):
         raise DataError("%s has no valid tensor index" % header_path)
-    tensors = {name: read_tensor(os.path.join(path, meta["file"]))
-               for name, meta in index.items()}
+    tensors = {}
+    for name, meta in index.items():
+        tensor_path = os.path.join(path, meta["file"])
+        tensors[name] = read_tensor(tensor_path)
+        if list(tensors[name].shape) != meta.get("dims"):
+            raise DataError("%s holds a tensor of dims %s, but %s gives dims %s"
+                            % (tensor_path, list(tensors[name].shape),
+                               header_path, meta.get("dims")))
     return tensors, header

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from embedloc import augment, melfront
 from embedloc.augment import (AugmentationSpec, EqParams, PitchShiftParams,
@@ -349,17 +352,48 @@ def test_pitch_shift_matches_cubic_spline_oracle(mu):
     assert np.abs(out.values - ref).max() <= 1e-12
 
 
+def natural_spline(values, positions):
+    """Reference natural cubic spline through values[i] at knot i (unit
+    spacing, along axis 0 of a 2-D array), evaluated at positions clipped
+    to [0, n-1]: one tridiagonal solve of A s = D y for s = M / 6, a
+    sixth of the second derivatives, then on [i, i+1], with a = t - i and
+    b = 1 - a, b y[i] + a y[i+1] + (b^3 - b) s[i] + (a^3 - a) s[i+1]."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    s = second_derivatives(values)
+    t = np.clip(positions, 0, n - 1)
+    i = np.minimum(t.astype(int), n - 2)
+    a = (t - i)[:, None]
+    b = 1.0 - a
+    return (b * values[i] + a * values[i + 1]
+            + (b ** 3 - b) * s[i] + (a ** 3 - a) * s[i + 1])
+
+
+def second_derivatives(values):
+    """s = A^-1 D y by LAPACK's dgtsv: rows s[i-1] + 4 s[i] + s[i+1] =
+    y[i-1] - 2 y[i] + y[i+1] for interior i, and s[0] = s[n-1] = 0."""
+    n = values.shape[0]
+    rhs = np.zeros((n,) + values.shape[1:], order="F")
+    rhs[1:-1] = values[:-2] - 2.0 * values[1:-1] + values[2:]
+    dl, d, du = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)
+    dl[-1] = du[0] = 0.0
+    d[[0, -1]] = 1.0
+    *_, s, info = dgtsv(dl, d, du, rhs)
+    assert info == 0
+    return s
+
+
 def test_natural_spline_two_knots_is_linear():
     values = np.array([[1.0, -2.0], [3.0, 4.0]])
     positions = np.array([0.0, 0.25, 1.0, 7.0])
     want = [[1.0, -2.0], [1.5, -0.5], [3.0, 4.0], [3.0, 4.0]]
-    np.testing.assert_allclose(augment.natural_spline(values, positions),
+    np.testing.assert_allclose(natural_spline(values, positions),
                                want, atol=1e-15)
     np.testing.assert_allclose(
         augment.natural_spline_operator(2, positions) @ values, want, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 3, 96])
+@pytest.mark.parametrize("n", [2, 3, 96, 450, 1600])
 def test_spline_operator_matches_the_solve_path(n):
     rng = np.random.default_rng(35)
     values = rng.uniform(-4.0, 2.0, size=(n, 50))
@@ -369,21 +403,67 @@ def test_spline_operator_matches_the_solve_path(n):
         [-3.0, -0.5, n - 0.5, n + 4.0]])           # clipped to [0, n-1]
     w = augment.natural_spline_operator(n, positions)
     assert w.shape == (len(positions), n)
-    solved = augment.natural_spline(values, positions)
+    solved = natural_spline(values, positions)
     assert np.abs(w @ values - solved).max() <= 1e-14
+    # time stretch applies the same operator in chunks of output frames
+    x = random_mel(rng, frames=n)
+    for tau in (0.75, 1.0, 1.37):
+        out = augment.time_stretch(x, TimeStretchParams(tau=tau)).values
+        solved = natural_spline(x.values.T, tau * np.arange(out.shape[1])).T
+        assert np.abs(out - solved).max() <= 1e-14, tau
+
+
+@pytest.mark.parametrize("n", [2, 3, 96, 450])
+def test_band_holds_the_entries_of_dense_g(n):
+    h = augment.SPLINE_REACH
+    g = second_derivatives(np.eye(n))       # the dense n x n G = A^-1 D
+    band = augment._second_derivative_band(n)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]    # j - i
+    in_band = (offset >= -h) & (offset <= h + 1)
+    rows, cols = np.nonzero(in_band)
+    np.testing.assert_array_equal(band[rows, cols - rows + h], g[in_band])
+    assert np.abs(g[~in_band]).max(initial=0.0) < 2e-16
+    # band entries whose column lies outside 0..n-1 are 0
+    assert np.count_nonzero(band) == np.count_nonzero(g[in_band])
+
+
+def test_first_full_track_stretch_builds_no_dense_operator():
+    x = random_mel(np.random.default_rng(38), frames=1600)
+    augment._second_derivative_band.cache_clear()
+    tracemalloc.start()
+    try:
+        out = augment.time_stretch(x, TimeStretchParams(tau=0.75))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert augment._second_derivative_band.cache_info().misses == 1
+    assert out.num_frames == 2133
+    # a dense 1600 x 1600 G alone would take 20 MB
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_stretching_many_track_lengths_keeps_a_few_bands():
+    rng = np.random.default_rng(39)
+    tracks = [random_mel(rng, frames=1600 + k) for k in range(16)]
+    tracemalloc.start()
+    try:
+        for x in tracks:
+            augment.time_stretch(x, TimeStretchParams(tau=1.25))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one band of a 1600-frame track is 0.74 MB; 16 of them would be 12 MB
+    assert kept < 4 * 2 ** 20, kept
 
 
 def test_spline_system_and_operator_are_cached_read_only():
-    for n in (2, 96):
-        system = augment._natural_spline_system(n)
-        g = augment._second_derivative_operator(n)
-        assert augment._natural_spline_system(n) is system
-        assert augment._second_derivative_operator(n) is g
-        assert g.shape == (n, n)
-        for arr in system + (g,):
-            assert not arr.flags.writeable
+    for n in (2, 96, 1600):
+        band = augment._second_derivative_band(n)
+        assert augment._second_derivative_band(n) is band
+        assert band.shape == (n, 2 * augment.SPLINE_REACH + 2)
+        assert not band.flags.writeable
         with pytest.raises(ValueError):
-            g[0, 0] = 1.0
+            band[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ def test_report_does_not_merge_its_own_report(tmp_path, capsys):
     second = json.loads((out / "report.json").read_text())
     assert sorted(first["artifacts"]) == ["neighborhood-x.json", "sweep-x.json"]
     assert second == first
+
+
+def test_report_into_a_missing_output_dir_exits_3_naming_it(tmp_path, capsys):
+    missing = tmp_path / "out"
+    assert cli.main(["report"] + _out_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "directory %s does not exist" % missing in err and ".tmp" not in err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("section,leaf,value", [
@@ -405,6 +415,9 @@ CORRUPT_INPUTS = [
     ("sweep", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0.01}}', 2),
     ("train", "c.json", lambda b: b'{"augmentation": {"output_seconds": 0.01}}', 2),
     ("train", "c.json", lambda b: b'{"augmentation": {"output_seconds": -1}}', 2),
+    # a whole 5 x 7 tensor where the header gives w1 dims [96, 8]
+    ("embed", "out/checkpoints/none-s0/w1.emlt",
+     lambda b: b[:10] + struct.pack("<2Q", 5, 7) + bytes(4 * 35), 3),
 ]
 
 
