@@ -23,15 +23,14 @@ from .augment import AugmentationSpec
 from .corpus import (extract_features, generate_synthetic_corpus,
                      load_track_mel, read_manifest)
 from .embedspace import EmbeddingSet, build_embedding_set
-from .encoder import (TrainConfig, feature_dim, load_checkpoint,
-                      save_checkpoint, train, usable_train_tracks)
+from .encoder import Mlp, TrainConfig, feature_dim, train, usable_train_tracks
 from .errors import ConfigError, DataError, EmbedlocError, NumericalError
 from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
                        tag_precision, tag_retrieval)
 from .melfront import MelConfig
-from .probe import (ProbeConfig, acc1_hits, acc2_hits, estimate_tempo,
-                    save_probe, train_probe)
+from .probe import (BPM_MAX, BPM_MIN, ProbeConfig, acc1_hits, acc2_hits,
+                    estimate_tempo, train_probe)
 
 
 def _unseeded(config):
@@ -192,10 +191,9 @@ def _load_checkpoint(config):
     """The run's encoder parameters, once the checkpoint is known to match
     the configured mel bands."""
     path = _checkpoint_dir(config)
-    params, _, header = load_checkpoint(path)
+    params, _, header = Mlp.load(path, TrainConfig)
     bands = config["mel"]["num_bands"]
-    if (header.get("num_bands") != bands or params.w1.ndim != 2
-            or params.w1.shape[1] != feature_dim(bands)):
+    if header.get("num_bands") != bands or params.w1.shape[1] != feature_dim(bands):
         raise DataError(
             "checkpoint %s was trained on %r mel bands (w1 %s), but mel.num_bands"
             " is %d (feature dim %d)" % (path, header.get("num_bands"),
@@ -246,9 +244,9 @@ def cmd_train(config):
             _load_mels(usable_train_tracks(records, spec), config)}
     params, losses = train(records, mels, spec, train_cfg)
     ckpt = _checkpoint_dir(config)
-    save_checkpoint(ckpt, params, train_cfg, config["mel"]["num_bands"],
-                    step=train_cfg.total_steps,
-                    extra={"provenance": _provenance(config)})
+    params.save(ckpt, train_cfg, num_bands=config["mel"]["num_bands"],
+                step=train_cfg.total_steps, seed=train_cfg.rng_seed,
+                provenance=_provenance(config))
     tensorio.write_csv(os.path.join(ckpt, "loss.csv"), ["step", "loss"],
                        enumerate(losses))
     print("train: %d steps, final loss %.4f, checkpoint %s"
@@ -328,8 +326,8 @@ def cmd_probe(config):
     model, losses = train_probe(emb, records, probe_cfg)
     out = config["paths"]["output_dir"]
     probe_dir = os.path.join(out, "probe-%s" % _artifact_id(config))
-    save_probe(probe_dir, model, probe_cfg,
-               extra={"provenance": _provenance(config)})
+    model.save(probe_dir, probe_cfg, bpm_min=BPM_MIN, bpm_max=BPM_MAX,
+               provenance=_provenance(config))
     test = [r for r in records if r.split == "test" and r.bpm is not None]
     rows = []
     for rec in test:

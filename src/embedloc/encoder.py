@@ -10,6 +10,7 @@ analytic; the loss gradient is checked against finite differences in
 the test suite.
 """
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,27 +94,68 @@ def feature_dim(num_bands):
 
 
 @dataclass
-class EncoderParams:
-    w1: np.ndarray   # (hidden, feature_dim)
+class Mlp:
+    """Two dense layers, w1 (hidden, in) with b1 and w2 (out, hidden) with
+    b2. The encoder (tanh hidden layer) and the tempo probe (ReLU hidden
+    layer) are each one; each runs its own forward pass, and they share
+    the backward pass and the on-disk parameter-set format."""
+    w1: np.ndarray
     b1: np.ndarray
-    w2: np.ndarray   # (D, hidden)
+    w2: np.ndarray
     b2: np.ndarray
 
+    def __post_init__(self):
+        w1, w2 = self.w1, self.w2
+        if not (w1.ndim == 2 and w2.ndim == 2 and w2.shape[1] == w1.shape[0]
+                and self.b1.shape == (w1.shape[0],)
+                and self.b2.shape == (w2.shape[0],)):
+            raise DataError("layers do not chain: %s" % ", ".join(
+                "%s %s" % (name, tuple(t.shape))
+                for name, t in self.tensors().items()))
+
     @classmethod
-    def init(cls, num_bands, hidden_units, embedding_dim, rng):
-        f = feature_dim(num_bands)
+    def init(cls, in_dim, hidden_units, out_dim, rng):
         return cls(
-            w1=rng.standard_normal((hidden_units, f)) / np.sqrt(f),
+            w1=rng.standard_normal((hidden_units, in_dim)) / np.sqrt(in_dim),
             b1=np.zeros(hidden_units),
-            w2=rng.standard_normal((embedding_dim, hidden_units)) / np.sqrt(hidden_units),
-            b2=np.zeros(embedding_dim),
+            w2=rng.standard_normal((out_dim, hidden_units)) / np.sqrt(hidden_units),
+            b2=np.zeros(out_dim),
         )
 
     def tensors(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
+    def backward(self, x, h, dout, dh_dpre):
+        """Gradients of a scalar loss w.r.t. the four tensors, given the
+        input x, the hidden activations h, dL/d(output), and dh/d(hidden
+        pre-activation) including any dropout scale applied to h."""
+        gw2 = dout.T @ h
+        gb2 = dout.sum(axis=0)
+        dpre = (dout @ self.w2) * dh_dpre
+        gw1 = dpre.T @ x
+        gb1 = dpre.sum(axis=0)
+        return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
-def encode(params: EncoderParams, views, return_cache=False):
+    def save(self, path, config, **fields):
+        """Write the tensors to directory `path`, with a header of the
+        config and then `fields` (tensorio.save_params)."""
+        tensorio.save_params(path, self.tensors(),
+                             dict({"config": asdict(config)}, **fields))
+
+    @classmethod
+    def load(cls, path, config_type):
+        """(Mlp, config_type instance, header) from a directory written by
+        save. Tensors that do not chain, or a stored config that
+        config_type rejects, raise DataError naming the header."""
+        tensors, header = tensorio.load_params(path)
+        try:
+            return cls(**tensors), config_type(**header["config"]), header
+        except (KeyError, TypeError, ConfigError, DataError) as exc:
+            raise DataError("%s: bad parameter set: %s"
+                            % (os.path.join(path, "header.json"), exc)) from None
+
+
+def encode(params: Mlp, views, return_cache=False):
     """Map B (U, M) mel patches to (B, D) unit vectors. `views` is what
     pool_features takes: any iterable of patches, consumed once. The
     cache holds only the pooled features and MLP activations, never a
@@ -128,18 +170,12 @@ def encode(params: EncoderParams, views, return_cache=False):
     return z
 
 
-def encode_backward(params, cache, dz):
+def encode_backward(params: Mlp, cache, dz):
     """Gradients of a scalar loss w.r.t. encoder parameters, given dL/dz."""
     pooled, h, e, norms = cache
     z = e / norms
     de = (dz - z * np.sum(dz * z, axis=1, keepdims=True)) / norms
-    gw2 = de.T @ h
-    gb2 = de.sum(axis=0)
-    dh = de @ params.w2
-    dpre = dh * (1.0 - h * h)
-    gw1 = dpre.T @ pooled
-    gb1 = dpre.sum(axis=0)
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    return params.backward(pooled, h, de, 1.0 - h * h)
 
 
 def ntxent_loss(embeddings, temperature):
@@ -202,9 +238,8 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
 
     seed = config.rng_seed
     init_rng = derive_rng(seed, "init")
-    params = EncoderParams.init(mels[tracks[0].track_id].num_bands,
-                                config.hidden_units, config.embedding_dim,
-                                init_rng)
+    params = Mlp.init(feature_dim(mels[tracks[0].track_id].num_bands),
+                      config.hidden_units, config.embedding_dim, init_rng)
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
 
     def step_views(step):
@@ -234,22 +269,3 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
             getattr(params, name)[...] += velocity[name]
         losses.append(float(loss))
     return params, losses
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: EMLT tensors + JSON header
-
-def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
-                    num_bands, step, extra=None):
-    header = {"config": asdict(config), "num_bands": num_bands,
-              "step": step, "seed": config.rng_seed}
-    header.update(extra or {})
-    tensorio.save_params(path, params.tensors(), header)
-
-
-def load_checkpoint(path):
-    tensors, header = tensorio.load_params(path)
-    try:
-        return EncoderParams(**tensors), TrainConfig(**header["config"]), header
-    except (KeyError, TypeError) as exc:
-        raise DataError("checkpoint %s: bad header: %r" % (path, exc))

@@ -2,12 +2,12 @@
 (30..300), one 512-unit hidden layer with 75% dropout, argmax after
 Hamming-window smoothing; scored with Acc1/Acc2."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .augment import derive_rng
+from .encoder import Mlp
 from .errors import ConfigError, DataError, NumericalError
 from .locality import TEMPO_OCTAVES
 
@@ -35,33 +35,16 @@ class ProbeConfig:
             raise ConfigError("batch_size and total_steps must be positive")
 
 
-@dataclass
-class ProbeModel:
-    w1: np.ndarray   # (hidden, D)
-    b1: np.ndarray
-    w2: np.ndarray   # (NUM_CLASSES, hidden)
-    b2: np.ndarray
-
-    @classmethod
-    def init(cls, dim, hidden_units, rng):
-        return cls(
-            w1=rng.standard_normal((hidden_units, dim)) / np.sqrt(dim),
-            b1=np.zeros(hidden_units),
-            w2=rng.standard_normal((NUM_CLASSES, hidden_units)) / np.sqrt(hidden_units),
-            b2=np.zeros(NUM_CLASSES),
-        )
-
-    def tensors(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
-def probe_scores(model: ProbeModel, embeddings, dropout_mask=None):
-    """Class scores (logits); dropout_mask applies only during training."""
+def probe_scores(model: Mlp, embeddings, dropout_mask=None):
+    """Class scores (logits); dropout_mask applies only during training.
+    The output layer runs as (w2 @ h.T).T: at the default 64 x 512 by
+    512 x 271 shape, h @ w2.T rounds differently under 1 and 2 OpenBLAS
+    threads."""
     x = np.atleast_2d(np.asarray(embeddings, dtype=float))
     h = np.maximum(0.0, x @ model.w1.T + model.b1)
     if dropout_mask is not None:
         h = h * dropout_mask
-    return h, h @ model.w2.T + model.b2
+    return h, (model.w2 @ h.T).T + model.b2
 
 
 def _softmax(logits):
@@ -86,8 +69,8 @@ def train_probe(emb_set, records, config: ProbeConfig):
         raise DataError("need at least 2 distinct BPM classes to train")
     x_all = np.stack([emb_set.vector(tid) for tid in usable])
 
-    model = ProbeModel.init(emb_set.dim, config.hidden_units,
-                            derive_rng(config.rng_seed, "probe-init"))
+    model = Mlp.init(emb_set.dim, config.hidden_units, NUM_CLASSES,
+                     derive_rng(config.rng_seed, "probe-init"))
     keep = 1.0 - config.dropout
     losses = []
     for step in range(config.total_steps):
@@ -104,16 +87,9 @@ def train_probe(emb_set, records, config: ProbeConfig):
         dlogits = probs
         dlogits[np.arange(len(y)), y] -= 1.0
         dlogits /= len(y)
-        gw2 = dlogits.T @ h
-        gb2 = dlogits.sum(axis=0)
-        dh = (dlogits @ model.w2) * (h > 0)
-        gw1 = dh.T @ x
-        gb1 = dh.sum(axis=0)
-        lr = config.learning_rate
-        model.w1 -= lr * gw1
-        model.b1 -= lr * gb1
-        model.w2 -= lr * gw2
-        model.b2 -= lr * gb2
+        grads = model.backward(x, h, dlogits, mask * (h > 0))
+        for name, grad in grads.items():
+            getattr(model, name)[...] -= config.learning_rate * grad
         losses.append(float(loss))
     return model, losses
 
@@ -125,7 +101,7 @@ def smooth_scores(scores):
     return np.convolve(np.asarray(scores, dtype=float), window, mode="same")
 
 
-def estimate_tempo(model: ProbeModel, embedding):
+def estimate_tempo(model: Mlp, embedding):
     """Integer BPM: argmax of smoothed class scores; ties -> lowest BPM."""
     _, logits = probe_scores(model, embedding)
     smoothed = smooth_scores(logits[0])
@@ -168,17 +144,3 @@ def _check_aligned(estimates, truths):
     if len(est) == 0:
         raise DataError("accuracy undefined on an empty evaluation set")
     return est, tru
-
-
-def save_probe(path, model: ProbeModel, config: ProbeConfig, extra=None):
-    header = {"config": asdict(config), "bpm_min": BPM_MIN, "bpm_max": BPM_MAX}
-    header.update(extra or {})
-    tensorio.save_params(path, model.tensors(), header)
-
-
-def load_probe(path):
-    tensors, header = tensorio.load_params(path)
-    try:
-        return ProbeModel(**tensors), ProbeConfig(**header["config"]), header
-    except (KeyError, TypeError) as exc:
-        raise DataError("probe %s: bad header: %r" % (path, exc))

@@ -143,8 +143,10 @@ def save_params(path, tensors, header):
 
 def load_params(path):
     """Read a parameter set written by save_params: (tensors as float64
-    arrays by name, header). A tensor whose shape differs from the dims
-    the header gives it raises DataError naming its file."""
+    arrays by name, header). Tensor files are bare names inside `path`;
+    a header that names one elsewhere raises DataError naming the
+    header. A tensor whose shape differs from the dims the header gives
+    it raises DataError naming its file."""
     header_path = os.path.join(path, "header.json")
     header = read_json(header_path)
     index = header.get("tensors") if isinstance(header, dict) else None
@@ -154,7 +156,11 @@ def load_params(path):
         raise DataError("%s has no valid tensor index" % header_path)
     tensors = {}
     for name, meta in index.items():
-        tensor_path = os.path.join(path, meta["file"])
+        fname = meta["file"]
+        if os.path.basename(fname) != fname or fname in ("", ".", ".."):
+            raise DataError("%s names tensor file %r, which is not a bare file"
+                            " name in %s" % (header_path, fname, path))
+        tensor_path = os.path.join(path, fname)
         tensors[name] = read_tensor(tensor_path)
         if list(tensors[name].shape) != meta.get("dims"):
             raise DataError("%s holds a tensor of dims %s, but %s gives dims %s"

@@ -339,7 +339,7 @@ def test_criterion_09_key_and_sweep_direction(trained_models):
 
 def test_criterion_10_probe_contract():
     rng = np.random.default_rng(106)
-    model = probe.ProbeModel.init(4, 8, rng)
+    model = encoder.Mlp.init(4, 8, probe.NUM_CLASSES, rng)
     model.w1[:] = 0.0
     model.b1[:] = 0.0
     model.w2[:] = 0.0

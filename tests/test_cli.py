@@ -110,13 +110,18 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     probe_summary = json.loads(
         (outdir / "probe-TS-s0" / "summary.json").read_text())
     assert 0.0 <= probe_summary["acc1"] <= probe_summary["acc2"] <= 1.0
+    # both parameter-set headers keep their keys in their order
+    for set_dir, keys in (("checkpoints/TS-s0", ["num_bands", "step", "seed"]),
+                          ("probe-TS-s0", ["bpm_min", "bpm_max"])):
+        header = json.loads((outdir / set_dir / "header.json").read_text())
+        assert list(header) == ["tensors", "config"] + keys + ["provenance"]
 
     # rerunning train is bit-reproducible: same checkpoint tensors
-    from embedloc.encoder import load_checkpoint
-    params1, _, _ = load_checkpoint(str(outdir / "checkpoints" / "TS-s0"))
+    from embedloc.encoder import Mlp, TrainConfig
+    params1, _, _ = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
     assert cli.main(["train"] + base) == 0
     capsys.readouterr()
-    params2, _, _ = load_checkpoint(str(outdir / "checkpoints" / "TS-s0"))
+    params2, _, _ = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
     import numpy as np
     for name, tensor in params1.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
@@ -158,17 +163,17 @@ def test_train_on_malformed_manifest_exits_3(tmp_path, capsys):
 
 def test_embed_on_truncated_checkpoint_tensor_exits_3(tmp_path, capsys):
     from embedloc.corpus import TrackRecord, write_manifest
-    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    from embedloc.encoder import Mlp, TrainConfig, feature_dim
     features = tmp_path / "out" / "features"
     features.mkdir(parents=True)
     write_manifest(features / "manifest.jsonl",
                    [TrackRecord("a", "a.emlt", 16.0)])
     ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
-    params = EncoderParams.init(96, 8, 4, np.random.default_rng(0))
-    save_checkpoint(str(ckpt), params, TrainConfig(), 96, step=0)
+    params = Mlp.init(feature_dim(96), 8, 4, np.random.default_rng(0))
+    params.save(str(ckpt), TrainConfig(), num_bands=96, step=0)
     w1 = ckpt / "w1.emlt"
     for cut in (12, len(w1.read_bytes()) - 4):
-        save_checkpoint(str(ckpt), params, TrainConfig(), 96, step=0)
+        params.save(str(ckpt), TrainConfig(), num_bands=96, step=0)
         w1.write_bytes(w1.read_bytes()[:cut])
         assert cli.main(["embed"] + _out_args(tmp_path)) == 3
         assert "w1.emlt" in capsys.readouterr().err
@@ -276,7 +281,7 @@ def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None)
     `w1_bands` (default: the same)."""
     from embedloc import tensorio
     from embedloc.corpus import TrackRecord, write_manifest
-    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    from embedloc.encoder import Mlp, TrainConfig, feature_dim
     features = tmp_path / "out" / "features"
     features.mkdir(parents=True)
     write_manifest(features / "manifest.jsonl",
@@ -285,8 +290,8 @@ def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None)
     tensorio.write_tensor(features / "a.emlt",
                           rng.uniform(-4, 1, size=(feature_bands, 1600)))
     ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
-    params = EncoderParams.init(w1_bands or ckpt_bands, 8, 4, rng)
-    save_checkpoint(str(ckpt), params, TrainConfig(), ckpt_bands, step=0)
+    params = Mlp.init(feature_dim(w1_bands or ckpt_bands), 8, 4, rng)
+    params.save(str(ckpt), TrainConfig(), num_bands=ckpt_bands, step=0)
     return ckpt
 
 
@@ -334,7 +339,7 @@ def _valid_tree(tmp_path):
     from embedloc import melfront, tensorio
     from embedloc.corpus import TrackRecord, write_manifest
     from embedloc.embedspace import EmbeddingSet
-    from embedloc.encoder import EncoderParams, TrainConfig, save_checkpoint
+    from embedloc.encoder import Mlp, TrainConfig, feature_dim
     rng = np.random.default_rng(0)
     corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
     (out / "features").mkdir(parents=True)
@@ -349,8 +354,8 @@ def _valid_tree(tmp_path):
     for rec in records:
         tensorio.write_tensor(out / "features" / rec.feature_path,
                               rng.uniform(-4, 1, size=(96, 1600)))
-    save_checkpoint(str(out / "checkpoints" / "none-s0"),
-                    EncoderParams.init(96, 8, 4, rng), TrainConfig(), 96, step=0)
+    Mlp.init(feature_dim(96), 8, 4, rng).save(
+        str(out / "checkpoints" / "none-s0"), TrainConfig(), num_bands=96, step=0)
     (out / "embeddings").mkdir()
     matrix = rng.standard_normal((3, 4))
     EmbeddingSet(ids=["a", "b", "c"],
@@ -375,8 +380,24 @@ CHECKPOINT_HEADER = "out/checkpoints/none-s0/header.json"
 EMBEDDING_HEADER = "out/embeddings/none-s0.json"
 DEEP = b"[" * 100000
 
+
+def _reshaped_tensor(name, shape):
+    """A corruption of the checkpoint header that also rewrites tensor
+    `name` as zeros of `shape`, with header dims to match: it returns
+    the new contents of both files by path under the tree."""
+    def corrupt(header):
+        doc = json.loads(header)
+        doc["tensors"][name]["dims"] = list(shape)
+        tensor = (b"EMLT" + struct.pack("<3H%dQ" % len(shape), 1, 1, len(shape), *shape)
+                  + bytes(4 * int(np.prod(shape))))
+        return {CHECKPOINT_HEADER: json.dumps(doc).encode(),
+                "out/checkpoints/none-s0/%s.emlt" % name: tensor}
+    return corrupt
+
+
 CORRUPT_INPUTS = [
-    # (command, file under the tree, new contents from the intact ones, exit code)
+    # (command, file under the tree, new contents from the intact ones, exit
+    # code); new contents given as a dict replace several files by path
     ("extract", "c.json", lambda b: b"{not json", 2),
     ("extract", "c.json", lambda b: b'{"seed": "\xff"}', 2),
     ("extract", "c.json", lambda b: DEEP, 2),
@@ -418,6 +439,17 @@ CORRUPT_INPUTS = [
     # a whole 5 x 7 tensor where the header gives w1 dims [96, 8]
     ("embed", "out/checkpoints/none-s0/w1.emlt",
      lambda b: b[:10] + struct.pack("<2Q", 5, 7) + bytes(4 * 35), 3),
+    # a stored config that TrainConfig rejects, though the user's is valid
+    ("embed", CHECKPOINT_HEADER,
+     lambda b: b.replace(b'"temperature": 0.1', b'"temperature": 0'), 3),
+    # tensors whose files match the header's dims but whose layers do not
+    # chain under w1 (8, 216)
+    ("embed", CHECKPOINT_HEADER, _reshaped_tensor("w2", (4, 9)), 3),
+    ("embed", CHECKPOINT_HEADER, _reshaped_tensor("b1", (3,)), 3),
+    ("embed", CHECKPOINT_HEADER, _reshaped_tensor("b2", (4, 1)), 3),
+    # a tensor file outside the checkpoint directory (here: the same file)
+    ("embed", CHECKPOINT_HEADER,
+     lambda b: b.replace(b'"w2.emlt"', b'"../none-s0/w2.emlt"'), 3),
 ]
 
 
@@ -428,7 +460,9 @@ def test_corrupt_input_exits_2_or_3_naming_the_file(tmp_path, capsys, command,
                                                     name, corrupt, code):
     base = _valid_tree(tmp_path)
     path = tmp_path / name
-    path.write_bytes(corrupt(path.read_bytes()))
+    new = corrupt(path.read_bytes())
+    for rel, data in (new if isinstance(new, dict) else {name: new}).items():
+        (tmp_path / rel).write_bytes(data)
     assert cli.main([command, "--config", str(tmp_path / "c.json")] + base) == code
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")

@@ -50,7 +50,7 @@ def test_track_windows_counts():
 def test_embed_track_unit_norm_and_short_error():
     cfg = melfront.MelConfig()
     rng = np.random.default_rng(2)
-    params = encoder.EncoderParams.init(cfg.num_bands, 16, 8, rng)
+    params = encoder.Mlp.init(encoder.feature_dim(cfg.num_bands), 16, 8, rng)
     values = rng.uniform(-4, 1, size=(cfg.num_bands, 700))
     mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="e")
     z = embedspace.embed_track(mel, params, 300)
@@ -66,7 +66,7 @@ def test_embed_track_pools_its_windows_as_a_stacked_batch_bitwise(tau):
     # the sweep embeds time-stretched tracks, whose values are column-major
     cfg = melfront.MelConfig()
     rng = np.random.default_rng(3)
-    params = encoder.EncoderParams.init(cfg.num_bands, 32, 8, rng)
+    params = encoder.Mlp.init(encoder.feature_dim(cfg.num_bands), 32, 8, rng)
     mel = melfront.MelSpectrogram(values=rng.uniform(-4, 1, size=(cfg.num_bands, 1400)),
                                   config=cfg, source_id="e")
     if tau is not None:

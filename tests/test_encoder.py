@@ -11,7 +11,7 @@ from embedloc import corpus, encoder, melfront, tensorio
 from embedloc.augment import (AugmentationSpec, TimeStretchParams, apply_chain,
                               derive_rng, time_stretch)
 from embedloc.corpus import TrackRecord, sample_pair
-from embedloc.encoder import EncoderParams, TrainConfig
+from embedloc.encoder import Mlp, TrainConfig, feature_dim
 from embedloc.errors import ConfigError, DataError
 
 
@@ -86,7 +86,7 @@ def test_ntxent_gradient_matches_finite_differences():
 
 def test_encode_outputs_unit_vectors():
     rng = np.random.default_rng(2)
-    params = EncoderParams.init(96, 32, 16, rng)
+    params = Mlp.init(feature_dim(96), 32, 16, rng)
     batch = rng.uniform(-4, 1, size=(6, 96, 120))
     z = encoder.encode(params, batch)
     assert z.shape == (6, 16)
@@ -95,7 +95,7 @@ def test_encode_outputs_unit_vectors():
 
 def test_encode_backward_matches_finite_differences():
     rng = np.random.default_rng(3)
-    params = EncoderParams.init(16, 8, 4, rng)
+    params = Mlp.init(feature_dim(16), 8, 4, rng)
     batch = rng.uniform(-3, 1, size=(4, 16, 40))
     dz = rng.standard_normal((4, 4))
 
@@ -207,8 +207,8 @@ def reference_train(records, spec, config, mel_config, mel_cache):
     np.stack'ed, and pooled by the reference above."""
     tracks = encoder.usable_train_tracks(records, spec)
     seed = config.rng_seed
-    params = EncoderParams.init(mel_config.num_bands, config.hidden_units,
-                                config.embedding_dim, derive_rng(seed, "init"))
+    params = Mlp.init(feature_dim(mel_config.num_bands), config.hidden_units,
+                      config.embedding_dim, derive_rng(seed, "init"))
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
     losses = []
     for step in range(config.total_steps):
@@ -276,32 +276,63 @@ config = encoder.TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
                              peak_lr=0.1, momentum=0.5, rng_seed=9)
 params, losses = encoder.train(records, mels,
                                AugmentationSpec(("TS", "PS", "EQ")), config)
-encoder.save_checkpoint(sys.argv[1], params, config, mel_config.num_bands,
-                        step=config.total_steps)
+params.save(sys.argv[1], config, num_bands=mel_config.num_bands,
+            step=config.total_steps, seed=config.rng_seed)
 # the float64 state, which the float32 checkpoint tensors round away
 print(repr(losses), [t.tobytes().hex() for t in params.tensors().values()])
 """
+
+
+def run_with_blas_threads(threads, script, *args):
+    """Run `script` in a child whose OpenBLAS uses `threads` threads;
+    returns its stdout."""
+    package_root = os.path.dirname(os.path.dirname(encoder.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, check=True, timeout=300,
+                          capture_output=True, text=True).stdout
 
 
 def test_training_does_not_depend_on_blas_threads(tmp_path):
     # pitch shift and the encoder run GEMMs large enough for OpenBLAS to
     # split across threads; neither the checkpoint nor the float64 state
     # it was rounded from may change
-    package_root = os.path.dirname(os.path.dirname(encoder.__file__))
     runs = []
     for i, threads in enumerate(("1", "2", "1")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         ckpt = tmp_path / str(i)
-        done = subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(ckpt)],
-                              env=env, check=True, timeout=300,
-                              capture_output=True, text=True)
+        stdout = run_with_blas_threads(threads, TRAIN_AND_SAVE, str(ckpt))
         runs.append({p.name: p.read_bytes() for p in ckpt.iterdir()})
-        runs[-1]["float64 state"] = done.stdout
+        runs[-1]["float64 state"] = stdout
     assert sorted(runs[0]) == ["b1.emlt", "b2.emlt", "float64 state",
                                "header.json", "w1.emlt", "w2.emlt"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+TRAIN_PROBE = """
+import hashlib
+import numpy as np
+from embedloc import corpus, probe
+from embedloc.embedspace import EmbeddingSet
+rng = np.random.default_rng(0)
+matrix = rng.standard_normal((200, 64))
+ids = ["t%03d" % i for i in range(200)]
+records = [corpus.TrackRecord(t, t + ".emlt", 20.0, bpm=float(rng.integers(60, 200)))
+           for t in ids]
+emb = EmbeddingSet(ids=ids, matrix=matrix / np.linalg.norm(matrix, axis=1, keepdims=True))
+model, losses = probe.train_probe(emb, records, probe.ProbeConfig(total_steps=300))
+print(repr(losses), [hashlib.sha256(t.tobytes()).hexdigest()
+                     for t in model.tensors().values()])
+"""
+
+
+def test_probe_training_does_not_depend_on_blas_threads():
+    # at the default probe shape (64 x 512 hidden, 271 classes) the
+    # output layer's GEMM is large enough for OpenBLAS to split; the
+    # float64 weights and losses may not change
+    runs = [run_with_blas_threads(threads, TRAIN_PROBE) for threads in ("1", "2", "1")]
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
@@ -418,9 +449,8 @@ def test_train_rejects_empty_track_list(mel_config):
 def test_checkpoint_roundtrip(tmp_path, tiny_training):
     _, _, _, cfg, params, _ = tiny_training
     path = str(tmp_path / "ckpt")
-    encoder.save_checkpoint(path, params, cfg, 96, step=40,
-                            extra={"chain": "none"})
-    back, back_cfg, header = encoder.load_checkpoint(path)
+    params.save(path, cfg, num_bands=96, step=40, seed=cfg.rng_seed, chain="none")
+    back, back_cfg, header = Mlp.load(path, TrainConfig)
     assert header["chain"] == "none" and header["step"] == 40
     assert back_cfg == cfg
     for name, tensor in params.tensors().items():
@@ -428,10 +458,10 @@ def test_checkpoint_roundtrip(tmp_path, tiny_training):
 
 
 def test_checkpoint_directory_layout(tmp_path):
-    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
     path = tmp_path / "ckpt"
-    encoder.save_checkpoint(str(path), params, cfg, 4, step=4, extra={"x": 1})
+    params.save(str(path), cfg, num_bands=4, step=4, seed=cfg.rng_seed, x=1)
     tensors = {name: {"file": name + ".emlt", "dims": list(t.shape)}
                for name, t in params.tensors().items()}
     config = {"batch_pairs": 4, "total_steps": 4, "warmup_steps": 1,
@@ -451,20 +481,20 @@ def test_checkpoint_directory_layout(tmp_path):
                          ids=["not-json", "list", "index-not-object",
                               "no-file", "file-not-string", "deep-nesting"])
 def test_load_checkpoint_with_a_bad_header_raises_data_error(tmp_path, header):
-    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
-    encoder.save_checkpoint(str(tmp_path), params, cfg, 4, step=4)
+    params.save(str(tmp_path), cfg, num_bands=4, step=4, seed=cfg.rng_seed)
     (tmp_path / "header.json").write_text(header)
     with pytest.raises(DataError, match="header.json"):
-        encoder.load_checkpoint(str(tmp_path))
+        Mlp.load(str(tmp_path), TrainConfig)
 
 
 def test_load_checkpoint_with_unknown_tensor_names_raises_data_error(tmp_path):
-    params = EncoderParams.init(4, 3, 2, np.random.default_rng(0))
+    params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
-    encoder.save_checkpoint(str(tmp_path), params, cfg, 4, step=4)
+    params.save(str(tmp_path), cfg, num_bands=4, step=4, seed=cfg.rng_seed)
     header = json.loads((tmp_path / "header.json").read_text())
     header["tensors"]["w3"] = header["tensors"].pop("w2")
     (tmp_path / "header.json").write_text(json.dumps(header))
-    with pytest.raises(DataError, match="checkpoint"):
-        encoder.load_checkpoint(str(tmp_path))
+    with pytest.raises(DataError, match="header.json"):
+        Mlp.load(str(tmp_path), TrainConfig)

@@ -214,7 +214,7 @@ def test_metrics_skip_missing_labels_like_a_plain_loop():
 def sweep_inputs():
     cfg = melfront.MelConfig()
     rng = np.random.default_rng(10)
-    params = encoder.EncoderParams.init(cfg.num_bands, 16, 8, rng)
+    params = encoder.Mlp.init(encoder.feature_dim(cfg.num_bands), 16, 8, rng)
     mels = []
     for i in range(3):
         values = rng.uniform(-4, 1, size=(cfg.num_bands, 900))

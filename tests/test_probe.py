@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from embedloc import corpus, probe
+from embedloc.augment import derive_rng
 from embedloc.embedspace import EmbeddingSet
+from embedloc.encoder import Mlp
 from embedloc.errors import ConfigError, DataError
-from embedloc.probe import ProbeConfig, ProbeModel
+from embedloc.probe import ProbeConfig
 
 
 def unit_rows(arr):
@@ -50,7 +54,7 @@ def test_smoothing_merges_split_peak():
 
 def test_estimate_tempo_reads_argmax():
     rng = np.random.default_rng(1)
-    model = ProbeModel.init(4, 8, rng)
+    model = Mlp.init(4, 8, probe.NUM_CLASSES, rng)
     # force the logits by constructing a model with zero weights and a
     # chosen bias vector
     model.w1[:] = 0.0
@@ -61,7 +65,7 @@ def test_estimate_tempo_reads_argmax():
 
 
 def test_estimate_tempo_tie_breaks_low():
-    model = ProbeModel.init(4, 8, np.random.default_rng(2))
+    model = Mlp.init(4, 8, probe.NUM_CLASSES, np.random.default_rng(2))
     model.w1[:] = 0.0
     model.w2[:] = 0.0
     model.b2[:] = 0.0
@@ -158,13 +162,57 @@ def test_train_probe_reports_missing_labels():
 
 def test_probe_persistence(tmp_path):
     rng = np.random.default_rng(7)
-    model = ProbeModel.init(8, 16, rng)
+    model = Mlp.init(8, 16, probe.NUM_CLASSES, rng)
     cfg = ProbeConfig(total_steps=10)
     path = str(tmp_path / "probe")
-    probe.save_probe(path, model, cfg, extra={"embedding": "none-s0"})
-    back, back_cfg, header = probe.load_probe(path)
+    model.save(path, cfg, bpm_min=probe.BPM_MIN, bpm_max=probe.BPM_MAX,
+               embedding="none-s0")
+    back, back_cfg, header = Mlp.load(path, ProbeConfig)
     assert back_cfg == cfg
     assert header["embedding"] == "none-s0"
     assert header["bpm_min"] == 30 and header["bpm_max"] == 300
     for name, tensor in model.tensors().items():
         np.testing.assert_allclose(back.tensors()[name], tensor, atol=1e-6)
+
+
+def test_probe_step_gradient_matches_finite_differences_with_dropout():
+    # one step of train_probe moves each tensor by -learning_rate times its
+    # gradient; differentiate that step's loss, under the step's own
+    # dropout mask, numerically
+    es, records = make_separable_problem(np.random.default_rng(8), n=24, dim=4)
+    cfg = ProbeConfig(batch_size=6, total_steps=1, learning_rate=0.05,
+                      dropout=0.75, hidden_units=8, rng_seed=3)
+    before, _ = probe.train_probe(es, records, replace(cfg, learning_rate=0.0))
+    after, _ = probe.train_probe(es, records, cfg)
+    # the step's batch and mask, drawn as train_probe draws them
+    bpm = {r.track_id: r.bpm for r in records}
+    usable = [r.track_id for r in records if r.split == "train"]
+    rng = derive_rng(cfg.rng_seed, "probe-step", 0)
+    picks = rng.integers(0, len(usable), size=cfg.batch_size)
+    keep = 1.0 - cfg.dropout
+    mask = (rng.uniform(size=(cfg.batch_size, cfg.hidden_units)) < keep) / keep
+    x = np.stack([es.vector(usable[i]) for i in picks])
+    y = np.array([int(round(bpm[usable[i]])) - probe.BPM_MIN for i in picks])
+
+    def loss(t):
+        h = np.maximum(0.0, x @ t["w1"].T + t["b1"]) * mask
+        logits = h @ t["w2"].T + t["b2"]
+        logits -= logits.max(axis=1, keepdims=True)
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        return -np.mean(logp[np.arange(len(y)), y])
+
+    tensors = {name: t.copy() for name, t in before.tensors().items()}
+    eps = 1e-6
+    for name, tensor in tensors.items():
+        grad = (tensor - after.tensors()[name]) / cfg.learning_rate
+        fd = np.zeros_like(tensor)
+        for i in range(tensor.size):
+            old = tensor.flat[i]
+            tensor.flat[i] = old + eps
+            lp = loss(tensors)
+            tensor.flat[i] = old - eps
+            lm = loss(tensors)
+            tensor.flat[i] = old
+            fd.flat[i] = (lp - lm) / (2 * eps)
+        assert np.any(fd != 0), name
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9, err_msg=name)

@@ -134,6 +134,21 @@ def test_params_roundtrip_and_header_layout(tmp_path):
         np.testing.assert_array_equal(back[name], tensor.astype(np.float32))
 
 
+@pytest.mark.parametrize("fname", ["../q/w.emlt", "sub/w.emlt", "ABS", "", ".", ".."],
+                         ids=["parent", "subdir", "absolute", "empty", "dot", "dotdot"])
+def test_params_tensor_file_must_be_a_bare_name(tmp_path, fname):
+    # a set elsewhere holding the same tensor, so only the name can fail
+    for d in ("p", "q", "p/sub"):
+        tensorio.save_params(tmp_path / d, {"w": np.ones(2)}, {})
+    if fname == "ABS":
+        fname = str(tmp_path / "q" / "w.emlt")
+    header = tmp_path / "p" / "header.json"
+    header.write_text(json.dumps(
+        {"tensors": {"w": {"file": fname, "dims": [2]}}}))
+    with pytest.raises(DataError, match="header.json"):
+        tensorio.load_params(tmp_path / "p")
+
+
 def test_params_header_write_that_fails_leaves_the_old_header(tmp_path, monkeypatch):
     tensorio.save_params(tmp_path, {"w": np.ones(2)}, {"step": 1})
     before = (tmp_path / "header.json").read_bytes()
