@@ -8,6 +8,8 @@ Run: python3 demos/03_locality_and_probe.py
 
 import tempfile
 
+import numpy as np
+
 from embedloc import corpus, embedspace, encoder, locality, melfront, probe
 from embedloc.augment import AugmentationSpec
 
@@ -43,7 +45,7 @@ test_mels = [mels[r.track_id] for r in records if r.split == "test"]
 for name, (params, _) in embeddings.items():
     sweep = locality.manipulation_sweep(test_mels, params, "time_stretch",
                                         grid, window)
-    print("  %-4s %s" % (name, "  ".join("%.3f" % sweep.mean(f) for f in grid)))
+    print("  %-4s %s" % (name, "  ".join("%.3f" % np.mean(sweep[f]) for f in grid)))
 print("  (a TS-trained encoder should be flatter: stretched copies stay close)")
 
 # the tempo probe reads BPM back out of the embeddings

@@ -10,7 +10,6 @@ from .augment import (AugmentationSpec, EqParams, PitchShiftParams, RrcParams,
                       random_resized_crop, time_stretch)
 from .encoder import TrainConfig, lr_at, ntxent_loss, train
 from .embedspace import EmbeddingSet, embed_track, knn
-from .locality import (NeighborhoodReport, SweepResult, key_precision,
-                       manipulation_sweep, tag_precision, tag_retrieval,
-                       tempo_rmms)
+from .locality import (key_precision, manipulation_sweep, tag_precision,
+                       tag_retrieval, tempo_rmms)
 from .probe import ProbeConfig, acc1, acc2, estimate_tempo, train_probe

@@ -203,13 +203,23 @@ def _load_checkpoint(config):
 
 
 def _embedding_prefix(config):
-    d = os.path.join(config["paths"]["output_dir"], "embeddings")
-    os.makedirs(d, exist_ok=True)
-    return os.path.join(d, _artifact_id(config))
+    return os.path.join(config["paths"]["output_dir"], "embeddings",
+                        _artifact_id(config))
 
 
 def _window_frames(config):
     return _aug_spec(config).output_frames(_mel_config(config))
+
+
+def _write_table(config, name, doc, columns, rows):
+    """Write one analysis artifact as `doc` in <output_dir>/<name>-<artifact
+    id>.json and as the table `columns`, `rows` beside it in .csv; returns
+    that path without its extension."""
+    stem = os.path.join(config["paths"]["output_dir"],
+                        "%s-%s" % (name, _artifact_id(config)))
+    tensorio.write_json(stem + ".json", doc)
+    tensorio.write_csv(stem + ".csv", columns, rows)
+    return stem
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +271,7 @@ def cmd_embed(config):
         mels, params, _window_frames(config),
         provenance=_provenance(config, checkpoint=_checkpoint_dir(config)))
     prefix = _embedding_prefix(config)
+    os.makedirs(os.path.dirname(prefix), exist_ok=True)
     emb.save(prefix)
     print("embed: %d tracks -> %s.{json,emlt}" % (len(emb), prefix))
 
@@ -272,14 +283,19 @@ def cmd_sweep(config):
     grid = (config["metrics"]["stretch_grid"] if kind == "time_stretch"
             else config["metrics"]["pitch_grid"])
     test = [r for r in records if r.split == "test"] or records
-    result = manipulation_sweep(_load_mels(test, config), params, kind, grid,
-                                _window_frames(config),
-                                provenance=_provenance(config, sweep_kind=kind))
-    out = config["paths"]["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    stem = os.path.join(out, "sweep-%s-%s" % (kind, _artifact_id(config)))
-    result.to_json(stem + ".json")
-    result.to_csv(stem + ".csv")
+    distances = manipulation_sweep(_load_mels(test, config), params, kind, grid,
+                                   _window_frames(config))
+    rows = []
+    for f, d in distances.items():
+        lo, hi = np.percentile(d, [25, 75])
+        rows.append({"factor": f, "mean": float(np.mean(d)), "iqr": float(hi - lo),
+                     "distances": [float(x) for x in d]})
+    stem = _write_table(
+        config, "sweep-%s" % kind,
+        {"kind": kind, "factors": list(distances),
+         "provenance": _provenance(config, sweep_kind=kind), "rows": rows},
+        ["factor", "mean_distance", "iqr"],
+        [[row["factor"], row["mean"], row["iqr"]] for row in rows])
     print("sweep: %s over %d factors -> %s.{json,csv}" % (kind, len(grid), stem))
 
 
@@ -294,12 +310,11 @@ def cmd_neighborhood(config):
     records = _feature_manifest(config)
     emb = _load_embeddings(config)
     k_grid = config["metrics"]["k_grid"]
-    report = compute_neighborhood_report(emb, records, k_grid,
-                                         provenance=_provenance(config))
-    stem = os.path.join(config["paths"]["output_dir"],
-                        "neighborhood-%s" % _artifact_id(config))
-    report.to_json(stem + ".json")
-    report.to_csv(stem + ".csv")
+    report = compute_neighborhood_report(emb, records, k_grid)
+    doc = {"k_grid": list(k_grid), "provenance": _provenance(config)}
+    doc.update((m, {str(k): v for k, v in by_k.items()}) for m, by_k in report.items())
+    stem = _write_table(config, "neighborhood", doc, ["k"] + list(report),
+                        [[k] + [by_k[k] for by_k in report.values()] for k in k_grid])
     print("neighborhood: k grid %s -> %s.{json,csv}" % (k_grid, stem))
 
 
@@ -309,13 +324,10 @@ def cmd_retrieval(config):
     k_grid = config["metrics"]["k_grid"]
     rows = [{"k": k, "tag_precision": tag_precision(emb, records, k),
              "tag_retrieval": tag_retrieval(emb, records, k)} for k in k_grid]
-    stem = os.path.join(config["paths"]["output_dir"],
-                        "retrieval-%s" % _artifact_id(config))
-    tensorio.write_json(stem + ".json", {"provenance": _provenance(config),
-                                         "rows": rows})
     columns = ["k", "tag_precision", "tag_retrieval"]
-    tensorio.write_csv(stem + ".csv", columns,
-                       [[row[c] for c in columns] for row in rows])
+    stem = _write_table(config, "retrieval", {"provenance": _provenance(config),
+                                              "rows": rows},
+                        columns, [[row[c] for c in columns] for row in rows])
     print("retrieval: k grid %s -> %s.{json,csv}" % (k_grid, stem))
 
 
@@ -355,10 +367,14 @@ def cmd_probe(config):
 def cmd_report(config):
     out = config["paths"]["output_dir"]
     merged = {"config_hash": config_hash(config), "seed": config["seed"],
-              "artifacts": {}}
+              "artifacts": {}, "probes": {}}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        path = os.path.join(out, name)
+        summary = os.path.join(path, "summary.json")
         if name.endswith(".json") and name != "report.json":
-            merged["artifacts"][name] = tensorio.read_json(os.path.join(out, name))
+            merged["artifacts"][name] = tensorio.read_json(path)
+        elif name.startswith("probe-") and os.path.isfile(summary):
+            merged["probes"][name] = tensorio.read_json(summary)
     path = os.path.join(out, "report.json")
     tensorio.write_json(path, merged)
     print("report: merged %d artifacts -> %s" % (len(merged["artifacts"]), path))

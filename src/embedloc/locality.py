@@ -2,11 +2,8 @@
 neighborhood metrics (tempo RMMS, key precision, tag precision, tag
 retrieval)."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import tensorio
 from .augment import PitchShiftParams, TimeStretchParams, pitch_shift, time_stretch
 from .embedspace import EmbeddingSet, cosine_distance, embed_track
 from .errors import ConfigError, DataError
@@ -17,38 +14,9 @@ DEFAULT_STRETCH_GRID = tuple(2.0 ** (i / 8.0) for i in range(-8, 9))
 DEFAULT_PITCH_GRID = tuple(range(-12, 13))   # semitones
 
 
-@dataclass
-class SweepResult:
-    kind: str
-    factors: list
-    distances: dict              # factor -> list of per-track distances
-    provenance: dict = field(default_factory=dict)
-
-    def mean(self, factor):
-        return float(np.mean(self.distances[factor]))
-
-    def iqr(self, factor):
-        lo, hi = np.percentile(self.distances[factor], [25, 75])
-        return float(hi - lo)
-
-    def to_json(self, path):
-        payload = {"kind": self.kind, "factors": list(self.factors),
-                   "provenance": self.provenance,
-                   "rows": [{"factor": f, "mean": self.mean(f),
-                             "iqr": self.iqr(f),
-                             "distances": [float(d) for d in self.distances[f]]}
-                            for f in self.factors]}
-        tensorio.write_json(path, payload)
-
-    def to_csv(self, path):
-        tensorio.write_csv(path, ["factor", "mean_distance", "iqr"],
-                           [[f, self.mean(f), self.iqr(f)] for f in self.factors])
-
-
-def manipulation_sweep(mels, params, kind, grid, window_frames,
-                       provenance=None) -> SweepResult:
-    """Cosine distance between track-average embeddings of modified and
-    unmodified tracks, per grid factor.
+def manipulation_sweep(mels, params, kind, grid, window_frames):
+    """{factor: [per-track cosine distance]} between track-average
+    embeddings of modified and unmodified tracks, in grid order.
 
     kind "time_stretch": factors are stretch ratios; "pitch_shift":
     factors are semitone offsets.
@@ -58,6 +26,8 @@ def manipulation_sweep(mels, params, kind, grid, window_frames,
     identity = 1.0 if kind == "time_stretch" else 0.0
     if not any(np.isclose(f, identity) for f in grid):
         raise ConfigError("sweep grid must contain the identity factor")
+    if len(set(grid)) < len(grid):
+        raise ConfigError("sweep grid %s repeats a factor" % list(grid))
 
     base = {mel.source_id: embed_track(mel, params, window_frames)
             for mel in mels}
@@ -70,8 +40,7 @@ def manipulation_sweep(mels, params, kind, grid, window_frames,
                 modified = pitch_shift(mel, PitchShiftParams(mu=2.0 ** (f / 12.0)))
             emb = embed_track(modified, params, window_frames)
             distances[f].append(cosine_distance(base[mel.source_id], emb))
-    return SweepResult(kind=kind, factors=list(grid), distances=distances,
-                       provenance=provenance or {})
+    return distances
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +120,15 @@ def tag_retrieval(emb_set: EmbeddingSet, records, k):
     return float(np.mean(hits / carries.sum(axis=0)))
 
 
-@dataclass
-class NeighborhoodReport:
-    k_grid: list
-    tempo_rmms: dict
-    key_precision: dict
-    tag_precision: dict
-    tag_retrieval: dict
-    provenance: dict = field(default_factory=dict)
-
-    METRICS = ("tempo_rmms", "key_precision", "tag_precision", "tag_retrieval")
-
-    def to_json(self, path):
-        payload = {"k_grid": list(self.k_grid), "provenance": self.provenance}
-        for m in self.METRICS:
-            payload[m] = {str(k): v for k, v in getattr(self, m).items()}
-        tensorio.write_json(path, payload)
-
-    def to_csv(self, path):
-        tensorio.write_csv(path, ["k"] + list(self.METRICS),
-                           [[k] + [getattr(self, m).get(k, "") for m in self.METRICS]
-                            for k in self.k_grid])
-
-
-def compute_neighborhood_report(emb_set, records, k_grid,
-                                provenance=None) -> NeighborhoodReport:
-    report = NeighborhoodReport(
-        k_grid=list(k_grid), tempo_rmms={}, key_precision={},
-        tag_precision={}, tag_retrieval={}, provenance=provenance or {})
+def compute_neighborhood_report(emb_set, records, k_grid):
+    """{metric: {k: value}} for the four metrics over the k grid. Each
+    metric is called by its module-level name, where pipebench's tracer
+    wraps it."""
+    report = {"tempo_rmms": {}, "key_precision": {}, "tag_precision": {},
+              "tag_retrieval": {}}
     for k in k_grid:
-        report.tempo_rmms[k] = tempo_rmms(emb_set, records, k)
-        report.key_precision[k] = key_precision(emb_set, records, k)
-        report.tag_precision[k] = tag_precision(emb_set, records, k)
-        report.tag_retrieval[k] = tag_retrieval(emb_set, records, k)
+        report["tempo_rmms"][k] = tempo_rmms(emb_set, records, k)
+        report["key_precision"][k] = key_precision(emb_set, records, k)
+        report["tag_precision"][k] = tag_precision(emb_set, records, k)
+        report["tag_retrieval"][k] = tag_retrieval(emb_set, records, k)
     return report

@@ -106,10 +106,14 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert [r["factor"] for r in sweep["rows"]] == [0.75, 1.0, 1.5]
     assert abs(sweep["rows"][1]["mean"]) < 1e-9   # identity factor
     report = json.loads((outdir / "report.json").read_text())
-    assert "neighborhood-TS-s0.json" in report["artifacts"]
+    assert list(report) == ["config_hash", "seed", "artifacts", "probes"]
+    assert sorted(report["artifacts"]) == [
+        "neighborhood-TS-s0.json", "retrieval-TS-s0.json",
+        "sweep-time_stretch-TS-s0.json"]
     probe_summary = json.loads(
         (outdir / "probe-TS-s0" / "summary.json").read_text())
     assert 0.0 <= probe_summary["acc1"] <= probe_summary["acc2"] <= 1.0
+    assert report["probes"] == {"probe-TS-s0": probe_summary}
     # both parameter-set headers keep their keys in their order
     for set_dir, keys in (("checkpoints/TS-s0", ["num_bands", "step", "seed"]),
                           ("probe-TS-s0", ["bpm_min", "bpm_max"])):
@@ -190,6 +194,19 @@ def test_report_does_not_merge_its_own_report(tmp_path, capsys):
     second = json.loads((out / "report.json").read_text())
     assert sorted(first["artifacts"]) == ["neighborhood-x.json", "sweep-x.json"]
     assert second == first
+
+
+def test_report_carries_probe_summaries_apart_from_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "probe-x").mkdir(parents=True)
+    (out / "probe-empty").mkdir()
+    (out / "probe-x" / "summary.json").write_text(json.dumps({"acc1": 0.5}))
+    (out / "sweep-x.json").write_text(json.dumps({"rows": [2]}))
+    assert cli.main(["report"] + _out_args(tmp_path)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == ["config_hash", "seed", "artifacts", "probes"]
+    assert sorted(report["artifacts"]) == ["sweep-x.json"]
+    assert report["probes"] == {"probe-x": {"acc1": 0.5}}
 
 
 def test_report_into_a_missing_output_dir_exits_3_naming_it(tmp_path, capsys):
@@ -374,6 +391,92 @@ def test_valid_tree_runs_every_command(tmp_path, capsys):
     for command in ("train", "embed", "neighborhood", "retrieval", "probe", "extract"):
         assert cli.main([command, "--config", str(tmp_path / "c.json")] + base) == 0, \
             capsys.readouterr().err
+
+
+def test_analysis_artifacts_hold_the_library_values(tmp_path, capsys):
+    """neighborhood, retrieval and sweep each write a JSON document with
+    its keys in a fixed order and a CSV table of the same values, and
+    every value is what a direct library call gives."""
+    from dataclasses import replace
+    from embedloc import locality
+    from embedloc.augment import TimeStretchParams, time_stretch
+    from embedloc.corpus import read_manifest, write_manifest
+    from embedloc.embedspace import EmbeddingSet, cosine_distance, embed_track
+    base = _valid_tree(tmp_path) + ["--set", "metrics.k_grid=[1,2]",
+                                    "--set", "metrics.stretch_grid=[0.8,1.0,1.25]"]
+    out = tmp_path / "out"
+    manifest = out / "features" / "manifest.jsonl"
+    # every track in the test split, so the sweep has three distances per factor
+    write_manifest(manifest, [replace(r, split="test") for r in read_manifest(manifest)])
+    for command in ("neighborhood", "retrieval", "sweep"):
+        assert cli.main([command] + base) == 0, capsys.readouterr().err
+    config = cli.load_config(overrides=base[1::2])
+    records = read_manifest(manifest)
+    es = EmbeddingSet.load(str(out / "embeddings" / "none-s0"))
+
+    def table(stem):
+        doc = json.loads((out / (stem + ".json")).read_text())
+        lines = (out / (stem + ".csv")).read_text().splitlines()
+        return doc, [line.split(",") for line in lines]
+
+    metrics = ["tempo_rmms", "key_precision", "tag_precision", "tag_retrieval"]
+    doc, lines = table("neighborhood-none-s0")
+    assert list(doc) == ["k_grid", "provenance"] + metrics
+    assert doc["k_grid"] == [1, 2] and doc["provenance"] == cli._provenance(config)
+    assert lines[0] == ["k"] + metrics and len(lines) == 3
+    for k, line in zip((1, 2), lines[1:]):
+        want = [getattr(locality, m)(es, records, k) for m in metrics]
+        assert [doc[m][str(k)] for m in metrics] == want
+        assert line == [repr(v) for v in [k] + want]
+    assert all(list(doc[m]) == ["1", "2"] for m in metrics)
+
+    doc, lines = table("retrieval-none-s0")
+    columns = ["k", "tag_precision", "tag_retrieval"]
+    assert list(doc) == ["provenance", "rows"]
+    assert doc["provenance"] == cli._provenance(config)
+    assert lines[0] == columns and len(lines) == 3
+    for k, row, line in zip((1, 2), doc["rows"], lines[1:]):
+        want = [k, locality.tag_precision(es, records, k),
+                locality.tag_retrieval(es, records, k)]
+        assert list(row) == columns and [row[c] for c in columns] == want
+        assert line == [repr(v) for v in want]
+
+    doc, lines = table("sweep-time_stretch-none-s0")
+    assert list(doc) == ["kind", "factors", "provenance", "rows"]
+    assert doc["kind"] == "time_stretch" and doc["factors"] == [0.8, 1.0, 1.25]
+    assert doc["provenance"] == cli._provenance(config, sweep_kind="time_stretch")
+    assert lines[0] == ["factor", "mean_distance", "iqr"] and len(lines) == 4
+    params, window = cli._load_checkpoint(config), cli._window_frames(config)
+    mels = cli._load_mels(records, config)
+    for f, row, line in zip(doc["factors"], doc["rows"], lines[1:]):
+        assert list(row) == ["factor", "mean", "iqr", "distances"] and row["factor"] == f
+        assert row["distances"] == [
+            cosine_distance(embed_track(mel, params, window),
+                            embed_track(time_stretch(mel, TimeStretchParams(tau=f)),
+                                        params, window))
+            for mel in mels]
+        lo, hi = np.percentile(row["distances"], [25, 75])
+        assert row["mean"] == float(np.mean(row["distances"]))
+        assert row["iqr"] == float(hi - lo)
+        assert line == [repr(v) for v in (f, row["mean"], row["iqr"])]
+
+
+def test_sweep_grid_with_a_repeated_factor_exits_2(tmp_path, capsys):
+    base = _valid_tree(tmp_path)
+    assert cli.main(["sweep", "--set", "metrics.stretch_grid=[1.0,1.0,1.25]"] + base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "repeats a factor" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("sweep-*"))
+
+
+@pytest.mark.parametrize("command", ["neighborhood", "retrieval", "probe"])
+def test_command_without_an_embedding_set_creates_no_directory(tmp_path, capsys,
+                                                              command):
+    _features_and_checkpoint(tmp_path, 96, 96)
+    assert cli.main([command] + _out_args(tmp_path)) == 3
+    assert "run `embed` first" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "embeddings").exists()
 
 
 CHECKPOINT_HEADER = "out/checkpoints/none-s0/header.json"

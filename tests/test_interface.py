@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from embedloc import augment, corpus, embedspace, encoder, melfront, probe
+from embedloc import (augment, corpus, embedspace, encoder, locality, melfront,
+                      probe)
 from embedloc.corpus import TrackRecord
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,6 +53,8 @@ REMOVED = [
     (encoder.train, "mel_config"),
     (encoder.train, "base_dir"),
     (encoder.train, "mel_cache"),
+    (locality.manipulation_sweep, "provenance"),
+    (locality.compute_neighborhood_report, "provenance"),
 ]
 
 
@@ -135,6 +138,8 @@ def test_manifest_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("demo,expect", [
     ("01_mel_and_augmentations.py", "lowpass EQ at 3000 Hz"),
     ("02_contrastive_training.py", "neighbors of"),
+    pytest.param("03_locality_and_probe.py", "tempo probe on the baseline embedding",
+                 marks=pytest.mark.slow),
 ])
 def test_demo_runs(tmp_path, demo, expect):
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from embedloc import corpus, embedspace, encoder, locality, melfront
+from embedloc import cli, corpus, embedspace, encoder, locality, melfront
 from embedloc.embedspace import EmbeddingSet
 from embedloc.errors import ConfigError, DataError
 
@@ -227,13 +227,15 @@ def test_sweep_identity_factor_is_zero(sweep_inputs):
     _, params, mels = sweep_inputs
     res = locality.manipulation_sweep(mels, params, "time_stretch",
                                       (0.8, 1.0, 1.25), 300)
-    assert res.mean(1.0) == pytest.approx(0.0, abs=1e-9)
+    assert list(res) == [0.8, 1.0, 1.25]
+    assert np.mean(res[1.0]) == pytest.approx(0.0, abs=1e-9)
     for f in (0.8, 1.25):
-        assert res.mean(f) >= 0.0
-        assert res.iqr(f) >= 0.0
+        lo, hi = np.percentile(res[f], [25, 75])
+        assert np.mean(res[f]) >= 0.0
+        assert hi - lo >= 0.0
     res = locality.manipulation_sweep(mels, params, "pitch_shift",
                                       (-2, 0, 2), 300)
-    assert res.mean(0) == pytest.approx(0.0, abs=1e-9)
+    assert np.mean(res[0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sweep_grid_must_contain_identity(sweep_inputs):
@@ -244,22 +246,36 @@ def test_sweep_grid_must_contain_identity(sweep_inputs):
         locality.manipulation_sweep(mels, params, "pitch_shift", (-2, 2), 300)
     with pytest.raises(ConfigError):
         locality.manipulation_sweep(mels, params, "volume", (1.0,), 300)
+    with pytest.raises(ConfigError, match="repeats a factor"):
+        locality.manipulation_sweep(mels, params, "time_stretch", (1.0, 1.0, 1.25), 300)
+    with pytest.raises(ConfigError, match="repeats a factor"):
+        locality.manipulation_sweep(mels, params, "pitch_shift", (0, 0, 2), 300)
 
 
 def test_sweep_serialization(tmp_path, sweep_inputs):
+    """The sweep keys its per-track distances by factor in grid order, and
+    the CLI table writer writes them as they are."""
     _, params, mels = sweep_inputs
     res = locality.manipulation_sweep(mels, params, "time_stretch",
-                                      (0.8, 1.0, 1.25), 300,
-                                      provenance={"chain": "none"})
-    jpath, cpath = tmp_path / "s.json", tmp_path / "s.csv"
-    res.to_json(jpath)
-    res.to_csv(cpath)
-    payload = json.loads(jpath.read_text())
+                                      (0.8, 1.0, 1.25), 300)
+    assert list(res) == [0.8, 1.0, 1.25]
+    assert all(len(d) == len(mels) for d in res.values())
+    config = cli.load_config(overrides=['paths.output_dir="%s"' % tmp_path])
+    rows = [{"factor": f, "mean": float(np.mean(d)), "distances": [float(x) for x in d]}
+            for f, d in res.items()]
+    stem = cli._write_table(config, "sweep-time_stretch",
+                            {"kind": "time_stretch", "provenance": {"chain": "none"},
+                             "rows": rows},
+                            ["factor", "mean_distance"],
+                            [[row["factor"], row["mean"]] for row in rows])
+    payload = json.loads((tmp_path / "sweep-time_stretch-none-s0.json").read_text())
+    assert stem == str(tmp_path / "sweep-time_stretch-none-s0")
     assert payload["kind"] == "time_stretch"
     assert payload["provenance"] == {"chain": "none"}
     assert [row["factor"] for row in payload["rows"]] == [0.8, 1.0, 1.25]
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "factor,mean_distance,iqr"
+    assert [row["distances"] for row in payload["rows"]] == [list(d) for d in res.values()]
+    lines = (tmp_path / "sweep-time_stretch-none-s0.csv").read_text().strip().splitlines()
+    assert lines[0] == "factor,mean_distance"
     assert len(lines) == 4
 
 
@@ -271,19 +287,25 @@ def test_default_grids():
 
 
 def test_neighborhood_report_roundtrip(tmp_path):
+    """The report holds each metric by k in grid order, equal to a direct
+    call, and the CLI table writer writes it as it is."""
     rng = np.random.default_rng(11)
     es, records = planted_set(rng, 20)
-    report = locality.compute_neighborhood_report(es, records, (2, 8),
-                                                  provenance={"seed": 1})
+    report = locality.compute_neighborhood_report(es, records, (2, 8))
+    assert list(report) == ["tempo_rmms", "key_precision", "tag_precision",
+                            "tag_retrieval"]
     for k in (2, 8):
-        assert report.tempo_rmms[k] == pytest.approx(
+        assert report["tempo_rmms"][k] == pytest.approx(
             locality.tempo_rmms(es, records, k))
-    jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-    report.to_json(jpath)
-    report.to_csv(cpath)
-    payload = json.loads(jpath.read_text())
+    config = cli.load_config(overrides=['paths.output_dir="%s"' % tmp_path])
+    doc = {"k_grid": [2, 8]}
+    doc.update((m, {str(k): v for k, v in by_k.items()}) for m, by_k in report.items())
+    cli._write_table(config, "neighborhood", doc, ["k"] + list(report),
+                     [[k] + [by_k[k] for by_k in report.values()] for k in (2, 8)])
+    payload = json.loads((tmp_path / "neighborhood-none-s0.json").read_text())
     assert payload["k_grid"] == [2, 8]
     assert set(payload["tempo_rmms"]) == {"2", "8"}
-    lines = cpath.read_text().strip().splitlines()
+    assert payload["tempo_rmms"] == {str(k): report["tempo_rmms"][k] for k in (2, 8)}
+    lines = (tmp_path / "neighborhood-none-s0.csv").read_text().strip().splitlines()
     assert lines[0].startswith("k,tempo_rmms")
     assert len(lines) == 3
