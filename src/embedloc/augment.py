@@ -11,9 +11,8 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .melfront import MelSpectrogram, build_filterbank, log_silence
 
 TAU_RANGE = (0.75, 1.5)
@@ -203,23 +202,32 @@ def _second_derivative_band(n):
     column j of the solution sums G's columns j, j + P, j + 2P, ... For
     a band entry the other columns of that sum lie at least P - H - 1
     knots away, where they are too small to change its rounding, so the
-    band holds G's entries exactly."""
+    band holds G's entries exactly.
+
+    The solve is LAPACK dgtsv's Gaussian elimination, so the band has
+    the bytes dgtsv gives. A is diagonally dominant, so dgtsv swaps no
+    rows, and neither does this. Of dgtsv's operations it leaves out
+    only those that change no bit: multiplying by an entry 1.0 of A, and
+    subtracting a zero, which is 0.0 times a row or a row that is 0.
+    Subtracting a zero changes no value but -0.0, and no -0.0 arises:
+    the comb holds +0.0, 1 and -2, and x - y is -0.0 only if x is. So
+    rows 0 and n-1, whose right-hand sides are 0, stay 0, and the other
+    rows take two numpy calls per pass."""
     h, p = SPLINE_REACH, 4 * SPLINE_REACH
-    dl = np.ones(n - 1)     # A[i+1, i]
-    dl[-1] = 0.0
-    d = np.full(n, 4.0)
-    d[[0, -1]] = 1.0
-    du = np.ones(n - 1)     # A[i, i+1]
-    du[0] = 0.0
     rows = np.arange(1, n - 1)
-    rhs = np.zeros((n, p), order="F")       # rows 0 and n-1 of D are 0
-    rhs[rows, (rows - 1) % p] = 1.0
-    rhs[rows, rows % p] = -2.0
-    rhs[rows, (rows + 1) % p] = 1.0
-    # column-major right-hand sides are solved in place
-    *_, sums, info = dgtsv(dl, d, du, rhs, overwrite_b=True)
-    if info != 0:   # A is strictly diagonally dominant, so never singular
-        raise NumericalError("natural-spline solve failed (info %d)" % info)
+    sums = np.zeros((n, p))                 # rows 0 and n-1 of D are 0
+    sums[rows, (rows - 1) % p] = 1.0
+    sums[rows, rows % p] = -2.0
+    sums[rows, (rows + 1) % p] = 1.0
+    s, step = list(sums), np.empty(p)      # s[i] is a view of row i
+    d = [1.0, 4.0]                          # dgtsv's pivots d[i]
+    for i in range(1, n - 2):
+        fact = 1.0 / d[i]
+        d.append(4.0 - fact)
+        np.subtract(s[i + 1], np.multiply(fact, s[i], out=step), out=s[i + 1])
+    for i in range(n - 2, 0, -1):
+        np.subtract(s[i], s[i + 1], out=s[i])
+        np.divide(s[i], d[i], out=s[i])
     knots = np.arange(n)[:, None]
     cols = knots - h + np.arange(2 * h + 2)
     band = np.where((cols >= 0) & (cols < n), sums[knots, cols % p], 0.0)

@@ -60,12 +60,18 @@ DEFAULT_CONFIG = {
 def _check_leaf(path, default, value):
     """Raise ConfigError unless `value` may stand where `default` stands
     in DEFAULT_CONFIG: it has the default's type (an int may stand for a
-    float; a bool is never an int), and each item of a list may stand for
-    the items of the default list."""
+    float; a bool is never an int), a number that stands for a float is
+    finite (json reads NaN, Infinity, 1e400 and ints beyond the float
+    range), and each item of a list may stand for the items of the
+    default list."""
     want = type(default)
     if type(value) is not want and not (want is float and type(value) is int):
         raise ConfigError("config path %r must be %s, got %s %r"
                           % (path, want.__name__, type(value).__name__, value))
+    # False for NaN, for +-inf and for an int beyond the float range
+    if want is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError("config path %r must be a finite number, got %r"
+                          % (path, value))
     if want is list and default:
         for i, item in enumerate(value):
             _check_leaf("%s[%d]" % (path, i), default[0], item)
@@ -94,7 +100,7 @@ def _merge_known(base, override, schema=DEFAULT_CONFIG, prefix=""):
 def _apply_override(config, dotted, raw_value):
     try:
         value = json.loads(raw_value)
-    except json.JSONDecodeError:
+    except ValueError:   # not JSON, or an int of over 4300 digits
         value = raw_value
     for part in reversed(dotted.split(".")):
         value = {part: value}

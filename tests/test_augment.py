@@ -427,6 +427,25 @@ def test_band_holds_the_entries_of_dense_g(n):
     assert np.count_nonzero(band) == np.count_nonzero(g[in_band])
 
 
+def dgtsv_band(n):
+    """The band read off one dgtsv solve against D C for the comb
+    C[r, j] = [r = j mod P], as the package built it before its own
+    elimination."""
+    h, p = augment.SPLINE_REACH, 4 * augment.SPLINE_REACH
+    comb = (np.arange(n)[:, None] % p == np.arange(p)).astype(float)
+    sums = second_derivatives(comb)
+    knots = np.arange(n)[:, None]
+    cols = knots - h + np.arange(2 * h + 2)
+    return np.where((cols >= 0) & (cols < n), sums[knots, cols % p], 0.0)
+
+
+# every n below 200 covers the knot counts where the end rows meet and
+# the pivots still change
+@pytest.mark.parametrize("n", [*range(2, 200), 300, 450, 1398, 1401, 1600, 1601, 5000])
+def test_band_has_the_bytes_of_the_dgtsv_solve(n):
+    assert augment._second_derivative_band(n).tobytes() == dgtsv_band(n).tobytes()
+
+
 def test_first_full_track_stretch_builds_no_dense_operator():
     x = random_mel(np.random.default_rng(38), frames=1600)
     augment._second_derivative_band.cache_clear()

@@ -243,6 +243,45 @@ def test_wrong_typed_config_leaf_exits_2(tmp_path, capsys, section, leaf, value)
     assert "Traceback" not in err
 
 
+NON_FINITE = [
+    ("synth", "corpus", "duration_s", "NaN"),
+    ("synth", "corpus", "duration_s", "1e400"),
+    ("synth", "corpus", "duration_s", "-Infinity"),
+    ("synth", "corpus", "duration_s", "1" + "0" * 400),
+    ("extract", "mel", "log_floor", "NaN"),
+    ("train", "augmentation", "context_seconds", "NaN"),
+    ("sweep", "metrics", "stretch_grid", "[1.0, Infinity]"),
+]
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("command,section,leaf,raw", NON_FINITE,
+                         ids=lambda value: value[:16])
+def test_non_finite_config_float_exits_2(tmp_path, capsys, via, command,
+                                         section, leaf, raw):
+    paths = json.dumps({"corpus_dir": str(tmp_path / "corpus"),
+                        "output_dir": str(tmp_path / "out")})
+    path = tmp_path / "c.json"
+    if via == "file":   # the JSON text as written, not as json.dumps spells it
+        path.write_text('{"paths": %s, "%s": {"%s": %s}}' % (paths, section, leaf, raw))
+        args = ["--config", str(path)]
+    else:
+        path.write_text('{"paths": %s}' % paths)
+        args = ["--config", str(path), "--set", "%s.%s=%s" % (section, leaf, raw)]
+    assert cli.main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "%s.%s" % (section, leaf) in err and "finite number" in err
+    assert not (tmp_path / "corpus").exists() and not (tmp_path / "out").exists()
+
+
+def test_override_int_beyond_the_digit_limit_exits_2(capsys):
+    # json.loads refuses ints of over 4300 digits with a plain ValueError
+    assert cli.main(["synth", "--set", "corpus.duration_s=1" + "0" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "corpus.duration_s" in err
+
+
 def test_int_config_leaf_may_replace_a_float(tmp_path):
     cfg = cli.load_config(overrides=["corpus.duration_s=12", "train.peak_lr=1"])
     assert cfg["corpus"]["duration_s"] == 12 and cfg["train"]["peak_lr"] == 1

@@ -1,12 +1,16 @@
 """The package's outward interface: options that were removed stay
 removed, the names and configs the pipeline benchmark relies on resolve,
-serialized formats keep their bytes, and the demos run."""
+serialized formats keep their bytes, the package imports only the
+dependencies it declares, and the demos run."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -130,6 +134,35 @@ def test_manifest_bytes_are_pinned(tmp_path):
         b' "key_label": "C:maj", "tags": ["sine", "dense-rhythm"], "split": "train"}\n'
         b'{"track_id": "b", "feature_path": "b.emlt", "duration_s": 20.0, "bpm": null,'
         b' "key_label": null, "tags": [], "split": "test"}\n')
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+def test_package_imports_exactly_its_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
+    imported = set()
+    for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):     # function-local imports count too
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared == {"numpy"}
+
+
+def test_cli_imports_without_scipy():
+    code = ("import sys, embedloc.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
