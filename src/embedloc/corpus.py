@@ -210,24 +210,47 @@ def _click_times(bpm, duration_s):
     return np.arange(0.0, duration_s, period)
 
 
+SINUSOID_BLOCK = 512   # samples per block of the sinusoid bank
+
+
+def _sinusoid_bank(freqs, amps, phases, n, rate):
+    """sum_p amps[p]·sin(2π·freqs[p]·i/rate + phases[p]) for i < n.
+
+    By angle addition over blocks of B = SINUSOID_BLOCK samples,
+    sin(a + b) = sin(a)·cos(b) + cos(a)·sin(b), with a the angle at a
+    block's first sample and b the angle advanced within the block, so
+    sin and cos are taken of (n/B + B) angles per partial, not n. The
+    (blocks × 2P) by (2P × B) product runs in einsum, not BLAS: it is
+    called from map_tracks' worker threads, and OpenBLAS threads started
+    in each of them would oversubscribe the cores."""
+    omega = 2.0 * np.pi * freqs[:, None]
+    starts = (omega * (np.arange(0, n, SINUSOID_BLOCK) / rate)
+              + np.array(phases)[:, None]).T
+    offsets = omega * (np.arange(SINUSOID_BLOCK) / rate)
+    at_starts = np.concatenate([amps * np.sin(starts), amps * np.cos(starts)],
+                               axis=1)
+    in_block = np.concatenate([np.cos(offsets), np.sin(offsets)])
+    return np.einsum("kp,pb->kb", at_starts, in_block).ravel()[:n]
+
+
 def synthesize_track(bpm, key_label, timbre, duration_s, rate, rng):
     """One music-like mono track: a click train at `bpm` plus a sustained
     triad in `key_label`, voiced per the timbre family."""
     n = int(round(duration_s * rate))
-    t = np.arange(n) / rate
     pc_name, quality = key_label.split(":")
     pc = PITCH_CLASSES.index(pc_name)
     root = 523.2511306011972 * 2.0 ** (pc / 12.0)   # C5-referenced roots
     third = root * 2.0 ** ((4 if quality == "maj" else 3) / 12.0)
     fifth = root * 2.0 ** (7.0 / 12.0)
 
-    tonal = np.zeros(n)
     partials = [(root, 1.0), (2.0 * root, 0.45), (third, 0.4), (fifth, 0.5)]
     if timbre == "saw-like":
         partials += [(3.0 * root, 0.25), (4.0 * root, 0.18), (5.0 * root, 0.12)]
-    for freq, amp in partials:
-        if freq < rate / 2.0:
-            tonal += amp * np.sin(2.0 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
+    # one phase per partial below Nyquist, in order, then the burst: the
+    # draw order every existing corpus was made with
+    partials = np.array([p for p in partials if p[0] < rate / 2.0]).reshape(-1, 2)
+    phases = [rng.uniform(0, 2 * np.pi) for _ in partials]
+    tonal = _sinusoid_bank(partials[:, 0], partials[:, 1], phases, n, rate)
 
     clicks = np.zeros(n)
     burst_len = int(0.008 * rate)
@@ -256,6 +279,9 @@ def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
         raise ConfigError("num_tracks must be at least 1, got %d" % num_tracks)
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError("test_fraction must be in [0, 1], got %g" % test_fraction)
+    if round(duration_s * sample_rate_hz) < 1:
+        raise ConfigError("corpus.duration_s must give at least one sample, got "
+                          "%g s at %d Hz" % (duration_s, sample_rate_hz))
     rng = derive_rng(seed, "corpus")
     os.makedirs(out_dir, exist_ok=True)
     bpm_grid = np.linspace(60, 180, 25).round().astype(int)

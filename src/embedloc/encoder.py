@@ -44,8 +44,9 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
 
 
-ENVELOPE_LAGS = np.unique(np.round(
-    np.geomspace(8, 128, 24)).astype(int))   # frames, log-spaced
+# frames, log-spaced; the 24 rounded lags are distinct and increasing
+# (np.unique would also import numpy.ma into every CLI start)
+ENVELOPE_LAGS = np.round(np.geomspace(8, 128, 24)).astype(int)
 
 
 def _view_summaries(view):

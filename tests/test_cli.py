@@ -294,7 +294,9 @@ def test_int_config_leaf_may_replace_a_float(tmp_path):
 
 @pytest.mark.parametrize("leaf,value", [("num_tracks", 0), ("num_tracks", -1),
                                         ("test_fraction", -0.1),
-                                        ("test_fraction", 1.5)])
+                                        ("test_fraction", 1.5),
+                                        ("duration_s", 0), ("duration_s", -1),
+                                        ("duration_s", 0.00001)])
 def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value):
     corpus_dir = tmp_path / "corpus"
     assert cli.main(["synth", "--set", 'paths.corpus_dir="%s"' % corpus_dir,

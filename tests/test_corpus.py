@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -125,6 +126,93 @@ def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
         fh.write("\n" + line + "\n")
     with pytest.raises(DataError, match="m.jsonl:3"):
         corpus.read_manifest(path)
+
+
+def reference_track(bpm, key_label, timbre, duration_s, rate, rng):
+    """Reference: the synthesizer with one np.sin over every sample of
+    each partial, as it was before the sinusoid bank."""
+    n = int(round(duration_s * rate))
+    t = np.arange(n) / rate
+    pc_name, quality = key_label.split(":")
+    pc = analysis.PITCH_CLASSES.index(pc_name)
+    root = 523.2511306011972 * 2.0 ** (pc / 12.0)
+    third = root * 2.0 ** ((4 if quality == "maj" else 3) / 12.0)
+    fifth = root * 2.0 ** (7.0 / 12.0)
+    tonal = np.zeros(n)
+    partials = [(root, 1.0), (2.0 * root, 0.45), (third, 0.4), (fifth, 0.5)]
+    if timbre == "saw-like":
+        partials += [(3.0 * root, 0.25), (4.0 * root, 0.18), (5.0 * root, 0.12)]
+    for freq, amp in partials:
+        if freq < rate / 2.0:
+            tonal += amp * np.sin(2.0 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
+    clicks = np.zeros(n)
+    burst_len = int(0.008 * rate)
+    burst = (rng.standard_normal(burst_len)
+             * np.exp(-np.arange(burst_len) / (0.002 * rate)))
+    for ct in np.arange(0.0, duration_s, 60.0 / bpm):
+        start = int(round(ct * rate))
+        stop = min(n, start + burst_len)
+        clicks[start:stop] += burst[:stop - start]
+    if timbre == "noise-perc":
+        signal = 0.35 * tonal + 1.0 * clicks
+    else:
+        signal = 1.0 * tonal + 0.5 * clicks
+    peak = np.max(np.abs(signal))
+    return 0.5 * signal / peak if peak > 0 else signal
+
+
+def pcm16(signal):
+    """The int16 samples write_pcm_wav stores."""
+    return (np.clip(signal, -1.0, 32767.0 / 32768.0) * 32768.0).astype(np.int16)
+
+
+@pytest.mark.parametrize("timbre", corpus.TIMBRE_TAGS)
+@pytest.mark.parametrize("rate", [8000, 16000, 22050])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, "16 s"])
+@pytest.mark.parametrize("key", ["C:maj", "B:min"])
+def test_synthesize_track_matches_the_per_sample_reference(n, rate, timbre, key):
+    # at 8000 Hz the saw-like B's fifth harmonic (4939 Hz) is dropped, and
+    # with it that partial's phase draw
+    n = 16 * rate if n == "16 s" else n
+    got_rng, want_rng = derive_rng(5, "track", n), derive_rng(5, "track", n)
+    got = corpus.synthesize_track(97, key, timbre, n / rate, rate, got_rng)
+    want = reference_track(97, key, timbre, n / rate, rate, want_rng)
+    assert got.shape == want.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    lsb = np.abs(pcm16(got).astype(int) - pcm16(want))
+    assert lsb.max() <= 1
+    # the same draws, in the same order
+    assert got_rng.uniform() == want_rng.uniform()
+
+
+def test_fixture_corpus_wavs_equal_the_reference(small_corpus, corpus_dir, tmp_path):
+    records, _ = small_corpus
+    assert len(records) == 72
+    for i, rec in enumerate(records):
+        want = reference_track(rec.bpm, rec.key_label, rec.tags[0],
+                               rec.duration_s, 16000, derive_rng(7, "track", i))
+        melfront.write_pcm_wav(str(tmp_path / "ref.wav"), want, 16000)
+        assert ((corpus_dir / "wav" / (rec.track_id + ".wav")).read_bytes()
+                == (tmp_path / "ref.wav").read_bytes()), rec.track_id
+
+
+def test_synth_wavs_do_not_depend_on_blas_threads(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(corpus.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        env.pop("EMBEDLOC_SEED", None)
+        subprocess.run([sys.executable, "-m", "embedloc.cli", "synth",
+                        "--set", 'paths.corpus_dir="%s"' % out,
+                        "--set", "corpus.num_tracks=6",
+                        "--set", "corpus.duration_s=4"],
+                       env=env, check=True, timeout=300, capture_output=True)
+        runs.append(dir_bytes(out))
+    assert len(runs[0]) == 7   # 6 tracks and the manifest
+    assert runs[1] == runs[0]
 
 
 def serial_corpus(out_dir, num_tracks, seed, duration_s, rate=16000,

@@ -134,6 +134,13 @@ def test_pooling_is_sensitive_to_time_stretch():
     assert np.linalg.norm(fa - fb) > 0.1
 
 
+def test_envelope_lags_are_the_unique_rounded_log_spaced_lags():
+    want = np.unique(np.round(np.geomspace(8, 128, 24)).astype(int))
+    assert encoder.ENVELOPE_LAGS.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(encoder.ENVELOPE_LAGS, want)
+    assert len(encoder.ENVELOPE_LAGS) == 24
+
+
 def reference_pool_features(batch_values):
     """Pooling written with whole-batch temporaries, as a plain reference."""
     x = np.asarray(batch_values, dtype=float)

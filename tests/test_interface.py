@@ -165,6 +165,15 @@ def test_cli_imports_without_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_imports_without_numpy_ma():
+    code = ("import sys, embedloc.cli; print(sorted(m for m in sys.modules"
+            " if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # demos
 
