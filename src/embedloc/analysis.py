@@ -27,7 +27,7 @@ def _parabolic_refine(y, i):
 
 def frame_energy(mel):
     """Linear-power energy envelope over frames."""
-    return np.sum(10.0 ** mel.values, axis=0)
+    return np.sum(10.0 ** np.asarray(mel.values, dtype=float), axis=0)
 
 
 def estimate_tempo_autocorrelation(mel, min_bpm=50.0, max_bpm=250.0):
@@ -67,7 +67,7 @@ def estimate_tempo_autocorrelation(mel, min_bpm=50.0, max_bpm=250.0):
 def estimate_root_pitch_class(mel, fmin_hz=450.0, fmax_hz=1100.0):
     """Pitch class (0 = C) of the strongest time-averaged spectral peak
     inside [fmin_hz, fmax_hz]."""
-    power = np.mean(10.0 ** mel.values, axis=1)
+    power = np.mean(10.0 ** np.asarray(mel.values, dtype=float), axis=1)
     centers_mel = band_grid_mel(mel.config)[1:-1]
     centers_hz = mel_to_hz(centers_mel)
     window = np.where((centers_hz >= fmin_hz) & (centers_hz <= fmax_hz))[0]

@@ -306,7 +306,8 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
             % (p.tau, out_frames, int(np.ceil(p.tau * (out_frames - 1))) + 1, m_src))
     first, w = _spline_weights(m_src, p.tau * np.arange(out_frames))
     width = w.shape[1]
-    frames = x.values.T
+    # float64 copies of only the source frames the chunks reach
+    frames = np.asarray(x.values[:, :min(first[-1] + width, m_src)], dtype=float).T
     out = np.empty((out_frames, x.num_bands))
     for r0 in range(0, out_frames, TS_CHUNK_FRAMES):
         rows = slice(r0, r0 + TS_CHUNK_FRAMES)
@@ -332,7 +333,8 @@ def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
     src_pos = warp_band_position(np.arange(u_count), 1.0 / p.mu,
                                  u_count, cfg.sample_rate_hz)
     valid = src_pos <= u_count - 1
-    out = (x.values.T @ natural_spline_operator(u_count, src_pos).T).T
+    out = (np.asarray(x.values, dtype=float).T
+           @ natural_spline_operator(u_count, src_pos).T).T
     out[~valid, :] = log_silence(cfg)
     return x.copy(values=out)
 

@@ -183,9 +183,11 @@ def _feature_manifest(config):
 
 
 def _load_mels(records, config):
+    """The records' spectrograms, loaded one at a time as they are asked
+    for, so a caller that walks them once holds one track at a time."""
     mel_cfg = _mel_config(config)
     base = _features_dir(config)
-    return [load_track_mel(rec, mel_cfg, base_dir=base) for rec in records]
+    return (load_track_mel(rec, mel_cfg, base_dir=base) for rec in records)
 
 
 def _checkpoint_dir(config):

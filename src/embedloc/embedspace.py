@@ -73,7 +73,8 @@ class EmbeddingSet:
         ids = header.get("ids") if isinstance(header, dict) else None
         if not (isinstance(ids, list) and all(isinstance(t, str) for t in ids)):
             raise DataError("%s has no list of string track ids" % header_path)
-        matrix = tensorio.read_tensor(path_prefix + ".emlt")
+        # float64, as built: a float32 matrix would give another neighbour table
+        matrix = tensorio.read_tensor(path_prefix + ".emlt").astype(float)
         try:
             return cls(ids=ids, matrix=matrix,
                        provenance=header.get("provenance", {}))

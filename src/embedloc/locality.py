@@ -16,7 +16,9 @@ DEFAULT_PITCH_GRID = tuple(range(-12, 13))   # semitones
 
 def manipulation_sweep(mels, params, kind, grid, window_frames):
     """{factor: [per-track cosine distance]} between track-average
-    embeddings of modified and unmodified tracks, in grid order.
+    embeddings of modified and unmodified tracks, in grid order. `mels`
+    is any iterable of MelSpectrograms, walked once: each track is
+    embedded, then each of its modified versions.
 
     kind "time_stretch": factors are stretch ratios; "pitch_shift":
     factors are semitone offsets.
@@ -29,17 +31,16 @@ def manipulation_sweep(mels, params, kind, grid, window_frames):
     if len(set(grid)) < len(grid):
         raise ConfigError("sweep grid %s repeats a factor" % list(grid))
 
-    base = {mel.source_id: embed_track(mel, params, window_frames)
-            for mel in mels}
     distances = {f: [] for f in grid}
     for mel in mels:
+        base = embed_track(mel, params, window_frames)
         for f in grid:
             if kind == "time_stretch":
                 modified = time_stretch(mel, TimeStretchParams(tau=float(f)))
             else:
                 modified = pitch_shift(mel, PitchShiftParams(mu=2.0 ** (f / 12.0)))
             emb = embed_track(modified, params, window_frames)
-            distances[f].append(cosine_distance(base[mel.source_id], emb))
+            distances[f].append(cosine_distance(base, emb))
     return distances
 
 

@@ -73,7 +73,10 @@ class MelFilterbank:
 
 @dataclass
 class MelSpectrogram:
-    values: np.ndarray       # (U, M) log10 magnitudes
+    # (U, M) log10 magnitudes: read-only float32 as .emlt stores them
+    # when loaded, float64 when computed; code that computes on them
+    # converts to float64, which is exact
+    values: np.ndarray
     config: MelConfig
     source_id: str = ""
 

@@ -102,7 +102,8 @@ def _read_exact(fh, size, path, what):
 
 
 def read_tensor(path):
-    """Read an EMLT file back into a float64 numpy array."""
+    """Read an EMLT file back as it is stored: a read-only float32 numpy
+    array. Callers that compute in float64 convert it, which is exact."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -122,7 +123,7 @@ def read_tensor(path):
                 "truncated payload in %s: dims %s need %d bytes, %d remain"
                 % (path, list(dims), size, remaining))
         try:
-            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims).astype(float)
+            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims)
         except ValueError as exc:   # too many dims, or a zero-size shape numpy rejects
             raise TensorFormatError("dims %s in %s: %s" % (list(dims), path, exc))
 
@@ -161,7 +162,7 @@ def load_params(path):
             raise DataError("%s names tensor file %r, which is not a bare file"
                             " name in %s" % (header_path, fname, path))
         tensor_path = os.path.join(path, fname)
-        tensors[name] = read_tensor(tensor_path)
+        tensors[name] = read_tensor(tensor_path).astype(float)
         if list(tensors[name].shape) != meta.get("dims"):
             raise DataError("%s holds a tensor of dims %s, but %s gives dims %s"
                             % (tensor_path, list(tensors[name].shape),

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,20 +334,24 @@ def test_removed_metric_keys_are_unknown_config_paths(key):
     assert key not in prov and "config_hash" in prov
 
 
-def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None):
-    """A one-track feature set with `feature_bands` mel bands and a
-    checkpoint whose header says `ckpt_bands` and whose w1 is sized for
-    `w1_bands` (default: the same)."""
+def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None,
+                             track_ids=("a",), frames=1600):
+    """A feature set of test-split tracks `track_ids` (by default one),
+    each `feature_bands` mel bands by `frames` frames, and a checkpoint
+    whose header says `ckpt_bands` and whose w1 is sized for `w1_bands`
+    (default: the same)."""
     from embedloc import tensorio
     from embedloc.corpus import TrackRecord, write_manifest
     from embedloc.encoder import Mlp, TrainConfig, feature_dim
     features = tmp_path / "out" / "features"
     features.mkdir(parents=True)
     write_manifest(features / "manifest.jsonl",
-                   [TrackRecord("a", "a.emlt", 16.0, split="test")])
+                   [TrackRecord(tid, tid + ".emlt", 16.0, split="test")
+                    for tid in track_ids])
     rng = np.random.default_rng(0)
-    tensorio.write_tensor(features / "a.emlt",
-                          rng.uniform(-4, 1, size=(feature_bands, 1600)))
+    for tid in track_ids:
+        tensorio.write_tensor(features / (tid + ".emlt"),
+                              rng.uniform(-4, 1, size=(feature_bands, frames)))
     ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
     params = Mlp.init(feature_dim(w1_bands or ckpt_bands), 8, 4, rng)
     params.save(str(ckpt), TrainConfig(), num_bands=ckpt_bands, step=0)
@@ -488,7 +493,7 @@ def test_analysis_artifacts_hold_the_library_values(tmp_path, capsys):
     assert doc["provenance"] == cli._provenance(config, sweep_kind="time_stretch")
     assert lines[0] == ["factor", "mean_distance", "iqr"] and len(lines) == 4
     params, window = cli._load_checkpoint(config), cli._window_frames(config)
-    mels = cli._load_mels(records, config)
+    mels = list(cli._load_mels(records, config))
     for f, row, line in zip(doc["factors"], doc["rows"], lines[1:]):
         assert list(row) == ["factor", "mean", "iqr", "distances"] and row["factor"] == f
         assert row["distances"] == [
@@ -617,3 +622,42 @@ def test_corrupt_input_exits_2_or_3_naming_the_file(tmp_path, capsys, command,
 def test_removed_seed_keys_are_unknown_config_paths(section, capsys):
     assert cli.main(["report", "--set", "%s.rng_seed=5" % section]) == 2
     assert "unknown config path '%s.rng_seed'" % section in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_peak_memory_does_not_grow_with_the_track_count(tmp_path, capsys, command):
+    trees = []
+    for n in (8, 64):
+        _features_and_checkpoint(tmp_path / str(n), 96, 96, frames=400,
+                                 track_ids=["t%03d" % i for i in range(n)])
+        trees.append(_out_args(tmp_path / str(n))
+                     + ["--set", "metrics.stretch_grid=[0.8,1.0,1.25]"])
+    small, large = trees
+    assert cli.main([command] + small) == 0   # fills the process's caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for args in (small, large):
+            tracemalloc.reset_peak()
+            assert cli.main([command] + args) == 0, capsys.readouterr().err
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    # the 56 more tracks hold 8.6 MB as float32; the peak may grow by
+    # what they add to the manifest and the results, not by one track
+    track_bytes = 96 * 400 * 4
+    assert peaks[1] - peaks[0] < track_bytes, peaks
+
+
+def test_train_holds_the_tracks_as_stored_float32(tmp_path, capsys, monkeypatch):
+    base = _valid_tree(tmp_path)
+    dtypes = []
+    real_train = cli.train
+
+    def spy(records, mels, spec, config):
+        dtypes.extend(mel.values.dtype for mel in mels.values())
+        return real_train(records, mels, spec, config)
+
+    monkeypatch.setattr(cli, "train", spy)
+    assert cli.main(["train"] + base) == 0, capsys.readouterr().err
+    assert dtypes == [np.float32, np.float32]

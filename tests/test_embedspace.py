@@ -35,6 +35,8 @@ def test_embedding_set_persistence(tmp_path):
     es.save(prefix)
     back = EmbeddingSet.load(prefix)
     assert back.ids == es.ids
+    # the stored float32 rows, read as float64 like the rows embed builds
+    assert back.matrix.dtype == np.float64
     assert back.provenance == es.provenance
     np.testing.assert_allclose(back.matrix, es.matrix, atol=1e-6)
 

@@ -11,8 +11,10 @@ from embedloc import corpus, encoder, melfront, tensorio
 from embedloc.augment import (AugmentationSpec, TimeStretchParams, apply_chain,
                               derive_rng, time_stretch)
 from embedloc.corpus import TrackRecord, sample_pair
+from embedloc.embedspace import build_embedding_set
 from embedloc.encoder import Mlp, TrainConfig, feature_dim
 from embedloc.errors import ConfigError, DataError
+from embedloc.locality import manipulation_sweep
 
 
 def unit_rows(arr):
@@ -267,6 +269,45 @@ def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, ch
         np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
 
 
+# each stage's way from float32 to float64: the empty chain pools float32
+# windows, TS converts the frames it reaches, PS its whole input, and EQ
+# and RRC promote in their arithmetic
+STORED_CHAINS = [(), ("TS",), ("PS",), ("EQ",), ("RRC", "EQ"), ("TS", "PS", "EQ")]
+
+
+@pytest.mark.parametrize("chain", STORED_CHAINS,
+                         ids=lambda chain: "+".join(chain) or "none")
+def test_float32_stored_tracks_give_the_float64_bits(random_tracks, mel_config,
+                                                     tmp_path, chain):
+    # tracks loaded from .emlt stay float32; every result must have the
+    # bits of the same values held as float64
+    records, mels = random_tracks
+    stored, held = {}, {}
+    for tid, mel in mels.items():
+        mel.save(tmp_path / (tid + ".emlt"))
+        stored[tid] = melfront.MelSpectrogram.load(tmp_path / (tid + ".emlt"),
+                                                   mel_config, tid)
+        held[tid] = stored[tid].copy(values=stored[tid].values.astype(float))
+        assert stored[tid].values.dtype == np.float32
+    spec = AugmentationSpec(chain=chain)
+    cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
+                      peak_lr=0.1, momentum=0.5, rng_seed=9)
+    params, losses = encoder.train(records, stored, spec, cfg)
+    ref_params, ref_losses = encoder.train(records, held, spec, cfg)
+    assert losses == ref_losses
+    for name, tensor in params.tensors().items():
+        assert tensor.dtype == np.float64
+        assert tensor.tobytes() == ref_params.tensors()[name].tobytes()
+
+    window = spec.output_frames(mel_config)
+    for kind, grid in (("time_stretch", (0.8, 1.0, 1.25)), ("pitch_shift", (-3, 0, 2))):
+        assert (manipulation_sweep(stored.values(), params, kind, grid, window)
+                == manipulation_sweep(held.values(), params, kind, grid, window))
+    got = build_embedding_set(stored.values(), params, window)
+    want = build_embedding_set(held.values(), params, window)
+    assert got.ids == want.ids and got.matrix.tobytes() == want.matrix.tobytes()
+
+
 TRAIN_AND_SAVE = """
 import sys
 import numpy as np
@@ -315,6 +356,27 @@ def test_training_does_not_depend_on_blas_threads(tmp_path):
         runs[-1]["float64 state"] = stdout
     assert sorted(runs[0]) == ["b1.emlt", "b2.emlt", "float64 state",
                                "header.json", "w1.emlt", "w2.emlt"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+# TRAIN_AND_SAVE on tracks stored as float32, held as the dtype argv[2] names
+TRAIN_AND_SAVE_STORED = TRAIN_AND_SAVE.replace(
+    "rng.uniform(-4, 1, size=(mel_config.num_bands, 1600))",
+    "rng.uniform(-4, 1, size=(mel_config.num_bands, 1600))"
+    ".astype(np.float32).astype(sys.argv[2])")
+
+
+def test_float32_tracks_train_the_float64_checkpoint_at_1_and_2_blas_threads(
+        tmp_path):
+    assert TRAIN_AND_SAVE_STORED != TRAIN_AND_SAVE
+    runs = []
+    for i, (dtype, threads) in enumerate((("float64", "1"), ("float32", "1"),
+                                          ("float32", "2"))):
+        ckpt = tmp_path / str(i)
+        stdout = run_with_blas_threads(threads, TRAIN_AND_SAVE_STORED, str(ckpt), dtype)
+        runs.append({p.name: p.read_bytes() for p in ckpt.iterdir()})
+        runs[-1]["float64 state"] = stdout
+    assert len(runs[0]) == 6
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 

@@ -16,7 +16,8 @@ def test_roundtrip_2d(tmp_path):
     path = tmp_path / "a.emlt"
     tensorio.write_tensor(path, arr)
     back = tensorio.read_tensor(path)
-    assert back.shape == (3, 4) and back.dtype == np.float64
+    assert back.shape == (3, 4) and back.dtype == np.float32
+    assert not back.flags.writeable
     np.testing.assert_array_equal(back, arr)
 
 
