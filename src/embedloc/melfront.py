@@ -22,6 +22,9 @@ HTK_MEL_CONST = 2595.0
 # about 2 MB at the default dft_size, whatever the track length
 STFT_BLOCK_FRAMES = 128
 
+# consecutive mel bands per filterbank group in compute_mel
+BAND_GROUP = 8
+
 
 def hz_to_mel(f):
     return HTK_MEL_CONST * np.log10(1.0 + np.asarray(f, dtype=float) / 700.0)
@@ -44,6 +47,8 @@ class MelConfig:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ConfigError("sample_rate_hz must be positive")
+        if self.window_length < 1:
+            raise ConfigError("window_length must be >= 1")
         if self.window_length > self.dft_size:
             raise ConfigError("window_length %d exceeds dft_size %d"
                               % (self.window_length, self.dft_size))
@@ -65,6 +70,10 @@ class MelConfig:
 class MelFilterbank:
     weights: np.ndarray      # (U, K//2 + 1), unit-peak triangles
     band_center_hz: np.ndarray
+    # (band slice, bin slice, read-only weights[bands, bins]) for each
+    # run of BAND_GROUP consecutive bands, over the bins their non-zeros
+    # span: every non-zero of `weights` lies in one group's block
+    groups: tuple
 
     @property
     def num_bands(self):
@@ -147,16 +156,26 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
             raise ConfigError(
                 "mel band %d is empty: too many bands for dft_size=%d at "
                 "sample_rate_hz=%d" % (u, config.dft_size, config.sample_rate_hz))
+    groups = []
+    for a in range(0, config.num_bands, BAND_GROUP):
+        bands = slice(a, min(a + BAND_GROUP, config.num_bands))
+        support = np.nonzero(np.any(weights[bands] > 0, axis=0))[0]
+        bins = slice(int(support[0]), int(support[-1]) + 1)
+        block = weights[bands, bins].copy()
+        block.flags.writeable = False
+        groups.append((bands, bins, block))
     band_center_hz = edges_hz[1:-1].copy()
     weights.flags.writeable = False
     band_center_hz.flags.writeable = False
-    return MelFilterbank(weights=weights, band_center_hz=band_center_hz)
+    return MelFilterbank(weights=weights, band_center_hz=band_center_hz,
+                         groups=tuple(groups))
 
 
 def compute_mel(pcm, config: MelConfig, source_id: str = "") -> MelSpectrogram:
     """Log-mel spectrogram log10(max(floor, S @ |STFT|)) of left-aligned,
     Hann-windowed frames. The STFT runs in blocks of STFT_BLOCK_FRAMES
-    frames, each banded into its columns of the output."""
+    frames through buffers reused from block to block, and each band
+    group multiplies only its own bins into its rows of the output."""
     filterbank = build_filterbank(config)
     pcm = np.asarray(pcm, dtype=float)
     n, hop = config.window_length, config.hop
@@ -166,10 +185,18 @@ def compute_mel(pcm, config: MelConfig, source_id: str = "") -> MelSpectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(pcm, n)[::hop]
     window = np.hanning(n)
     values = np.empty((filterbank.num_bands, len(frames)))
+    rows = min(STFT_BLOCK_FRAMES, len(frames))
+    windowed = np.empty((rows, n))
+    spectrum = np.empty((rows, config.dft_size // 2 + 1), dtype=complex)
+    magnitude = np.empty(spectrum.shape)
     for start in range(0, len(frames), STFT_BLOCK_FRAMES):
-        block = frames[start:start + STFT_BLOCK_FRAMES] * window
-        mag = np.abs(np.fft.rfft(block, n=config.dft_size, axis=1))
-        values[:, start:start + len(block)] = filterbank.weights @ mag.T
+        block = frames[start:start + STFT_BLOCK_FRAMES]
+        m, cols = len(block), slice(start, start + len(block))
+        np.multiply(block, window, out=windowed[:m])
+        np.fft.rfft(windowed[:m], n=config.dft_size, axis=1, out=spectrum[:m])
+        np.abs(spectrum[:m], out=magnitude[:m])
+        for bands, bins, weights in filterbank.groups:
+            np.matmul(weights, magnitude[:m, bins].T, out=values[bands, cols])
     np.log10(np.maximum(config.log_floor, values, out=values), out=values)
     return MelSpectrogram(values=values, config=config, source_id=source_id)
 
@@ -218,5 +245,9 @@ def write_pcm_wav(path, pcm, rate):
 
 
 def load_pcm_f32(path):
-    """Raw float32 little-endian PCM; rate comes from the manifest."""
-    return np.fromfile(str(path), dtype="<f4").astype(float)
+    """Raw float32 little-endian PCM; rate comes from the manifest. A
+    NaN or infinite sample raises DataError naming the file."""
+    pcm = np.fromfile(str(path), dtype="<f4").astype(float)
+    if not np.isfinite(pcm).all():
+        raise DataError("%s: holds a NaN or infinite sample" % path)
+    return pcm

@@ -306,6 +306,30 @@ def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value
     assert not corpus_dir.exists()
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_extract_with_a_window_below_one_sample_exits_2(tmp_path, capsys, value):
+    assert cli.main(["extract", "--set", "mel.window_length=%d" % value]
+                    + _out_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "window_length" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_extract_of_a_non_finite_f32_track_exits_3_naming_it(tmp_path, capsys):
+    from embedloc.corpus import TrackRecord, write_manifest
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    pcm = np.zeros(16000, dtype="<f4")
+    pcm[123] = np.nan
+    pcm.tofile(corpus_dir / "a.f32")
+    write_manifest(corpus_dir / "manifest.jsonl", [TrackRecord("a", "a.f32", 1.0)])
+    assert cli.main(["extract", "--set", 'paths.corpus_dir="%s"' % corpus_dir]
+                    + _out_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "a.f32" in err
+    assert not (tmp_path / "out" / "features" / "manifest.jsonl").exists()
+
+
 @pytest.mark.parametrize("command,chain", [("synth", "[1]"), ("extract", '["XX"]'),
                                            ("report", '["PS", "TS"]')])
 def test_bad_augmentation_chain_exits_2_at_every_command(tmp_path, capsys,

@@ -196,22 +196,39 @@ def test_fixture_corpus_wavs_equal_the_reference(small_corpus, corpus_dir, tmp_p
                 == (tmp_path / "ref.wav").read_bytes()), rec.track_id
 
 
-def test_synth_wavs_do_not_depend_on_blas_threads(tmp_path):
+def run_cli_with_blas_threads(threads, args):
+    """Run the CLI in a child process with OpenBLAS on `threads` threads."""
     package_root = os.path.dirname(os.path.dirname(corpus.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, PYTHONPATH=path)
+    env.pop("EMBEDLOC_SEED", None)
+    subprocess.run([sys.executable, "-m", "embedloc.cli"] + args,
+                   env=env, check=True, timeout=300, capture_output=True)
+
+
+def test_synth_wavs_do_not_depend_on_blas_threads(tmp_path):
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
-        env.pop("EMBEDLOC_SEED", None)
-        subprocess.run([sys.executable, "-m", "embedloc.cli", "synth",
-                        "--set", 'paths.corpus_dir="%s"' % out,
-                        "--set", "corpus.num_tracks=6",
-                        "--set", "corpus.duration_s=4"],
-                       env=env, check=True, timeout=300, capture_output=True)
+        run_cli_with_blas_threads(threads, [
+            "synth", "--set", 'paths.corpus_dir="%s"' % out,
+            "--set", "corpus.num_tracks=6", "--set", "corpus.duration_s=4"])
         runs.append(dir_bytes(out))
     assert len(runs[0]) == 7   # 6 tracks and the manifest
+    assert runs[1] == runs[0]
+
+
+def test_extract_features_do_not_depend_on_blas_threads(tmp_path):
+    corpus.generate_synthetic_corpus(str(tmp_path / "wav"), 6, seed=3, duration_s=4)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run_cli_with_blas_threads(threads, [
+            "extract", "--set", 'paths.corpus_dir="%s"' % (tmp_path / "wav"),
+            "--set", 'paths.output_dir="%s"' % out])
+        runs.append(dir_bytes(out / "features"))
+    assert len(runs[0]) == 7   # 6 .emlt files and the manifest
     assert runs[1] == runs[0]
 
 

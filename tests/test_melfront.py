@@ -19,6 +19,10 @@ def test_config_validation():
         melfront.MelConfig(num_bands=1)
     with pytest.raises(ConfigError):
         melfront.MelConfig(log_floor=0.0)
+    with pytest.raises(ConfigError, match="window_length"):
+        melfront.MelConfig(window_length=0)
+    with pytest.raises(ConfigError, match="window_length"):
+        melfront.MelConfig(window_length=-5)
 
 
 def test_two_band_peak_ordering():
@@ -36,6 +40,26 @@ def test_filterbank_is_built_once_per_config_and_read_only():
     for array in (fb.weights, fb.band_center_hz):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("dft_size,num_bands,rate", [
+    (2048, 96, 16000), (4096, 96, 16000), (2048, 128, 16000),
+    (2048, 96, 22050), (512, 40, 8000), (2048, 2, 16000)])
+def test_band_groups_cover_the_filterbank_exactly(dft_size, num_bands, rate):
+    fb = melfront.build_filterbank(melfront.MelConfig(
+        sample_rate_hz=rate, dft_size=dft_size, num_bands=num_bands))
+    scattered = np.zeros_like(fb.weights)
+    covered = np.zeros(fb.weights.shape, dtype=bool)
+    for bands, bins, block in fb.groups:
+        assert not covered[bands, bins].any()
+        scattered[bands, bins] = block
+        covered[bands, bins] = True
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    assert scattered.tobytes() == fb.weights.tobytes()
+    assert not np.any(fb.weights[~covered])
+    assert [bands.start for bands, _, _ in fb.groups] == list(
+        range(0, num_bands, melfront.BAND_GROUP))
 
 
 def test_rows_are_single_peaked():
@@ -141,6 +165,16 @@ def test_raw_f32_roundtrip(tmp_path):
     np.testing.assert_array_equal(melfront.load_pcm_f32(path), pcm.astype(float))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_f32_sample_is_a_data_error(tmp_path, bad):
+    pcm = np.zeros(4096, dtype="<f4")
+    pcm[1000] = bad
+    path = tmp_path / "t.f32"
+    pcm.tofile(path)
+    with pytest.raises(DataError, match="t.f32: holds a NaN or infinite sample"):
+        melfront.load_pcm_f32(path)
+
+
 def test_mel_spectrogram_persistence(tmp_path):
     cfg = melfront.MelConfig()
     mel = melfront.compute_mel(np.random.default_rng(6).standard_normal(8000),
@@ -185,6 +219,25 @@ def test_blocked_stft_matches_explicit_dft(frames):
     assert live.mean() > 0.99
     np.testing.assert_array_equal(got[~live], want[~live])
     assert np.max(np.abs(got[live] - want[live])) <= 1e-9
+
+
+def test_fixture_corpus_mel_equals_a_dense_filterbank_product(small_corpus,
+                                                             corpus_dir,
+                                                             mel_config):
+    # reference: the whole filterbank times |rfft| of every frame at once,
+    # with no blocks and no band groups; equal once stored as float32
+    records, mels = small_corpus
+    weights = melfront.build_filterbank(mel_config).weights
+    n = mel_config.window_length
+    for rec in records:
+        pcm, _ = melfront.load_pcm_wav(corpus_dir / "wav" / (rec.track_id + ".wav"))
+        frames = np.lib.stride_tricks.sliding_window_view(pcm, n)[::mel_config.hop]
+        mag = np.abs(np.fft.rfft(frames * np.hanning(n), n=mel_config.dft_size))
+        want = np.log10(np.maximum(mel_config.log_floor, weights @ mag.T))
+        want = want.astype(np.float32)
+        got = melfront.compute_mel(pcm, mel_config).values
+        np.testing.assert_array_equal(got.astype(np.float32), want)
+        np.testing.assert_array_equal(mels[rec.track_id].values, want)
 
 
 def test_copy_adopts_fresh_values_and_copies_views():
