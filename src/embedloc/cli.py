@@ -132,7 +132,8 @@ def load_config(path=None, overrides=()):
         except ValueError:
             raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
     mel = _mel_config(config)
-    try:   # so that every command, not only those that augment, rejects it
+
+    def check_augmentation():
         spec = _aug_spec(config)
         # pooling takes frame differences, which need 2 frames per window
         frames = spec.output_frames(mel)
@@ -140,10 +141,18 @@ def load_config(path=None, overrides=()):
             raise ConfigError("output_seconds %g is %d frame(s) at %g frames/s;"
                               " need at least 2" % (spec.output_seconds, frames,
                                                     mel.frames_per_second))
-    except ConfigError as exc:
-        origin = ([path] if path else []) + [
-            "--set " + item for item in overrides if item.startswith("augmentation.")]
-        raise ConfigError("augmentation from %s: %s" % (", ".join(origin), exc))
+
+    # each section is checked whole here, so that every command, not only
+    # the one that uses it, rejects it, naming where it was set
+    for section, check in (("augmentation", check_augmentation),
+                           ("train", lambda: TrainConfig(**config["train"])),
+                           ("probe", lambda: ProbeConfig(**config["probe"]))):
+        try:
+            check()
+        except ConfigError as exc:
+            origin = ([path] if path else []) + [
+                "--set " + item for item in overrides if item.startswith(section + ".")]
+            raise ConfigError("%s from %s: %s" % (section, ", ".join(origin), exc))
     return config
 
 
@@ -279,7 +288,6 @@ def cmd_embed(config):
         mels, params, _window_frames(config),
         provenance=_provenance(config, checkpoint=_checkpoint_dir(config)))
     prefix = _embedding_prefix(config)
-    os.makedirs(os.path.dirname(prefix), exist_ok=True)
     emb.save(prefix)
     print("embed: %d tracks -> %s.{json,emlt}" % (len(emb), prefix))
 

@@ -1,6 +1,7 @@
 """Track embedding extraction, persistence, and exact cosine-distance
 nearest neighbor search from one cached neighbour table per set."""
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,24 +60,27 @@ class EmbeddingSet:
         return self.neighbor_table()[0][:, :k]
 
     def save(self, path_prefix):
-        tensorio.write_tensor(path_prefix + ".emlt", self.matrix)
-        tensorio.write_json(path_prefix + ".json", {
-            "dim": int(self.dim), "ids": list(self.ids),
-            "provenance": self.provenance})
+        """Write the set as a tensor set: header `path_prefix`.json, whose
+        one tensor is `path_prefix`.emlt."""
+        tensorio.save_params(
+            path_prefix + ".json", {os.path.basename(path_prefix): self.matrix},
+            {"ids": list(self.ids), "provenance": self.provenance})
 
     @classmethod
     def load(cls, path_prefix):
-        """Read a set written by save; a header that is not a JSON object
-        with a list of string ids raises DataError naming the file."""
+        """Read a set written by save (tensorio.load_params); a header
+        that does not index exactly one tensor, or has no list of string
+        ids for its rows, raises DataError naming the header."""
         header_path = path_prefix + ".json"
-        header = tensorio.read_json(header_path)
-        ids = header.get("ids") if isinstance(header, dict) else None
+        # float64, as built: a float32 matrix would give another neighbour table
+        tensors, header = tensorio.load_params(header_path)
+        if len(tensors) != 1:
+            raise DataError("%s indexes %d tensors, not one" % (header_path, len(tensors)))
+        ids = header.get("ids")
         if not (isinstance(ids, list) and all(isinstance(t, str) for t in ids)):
             raise DataError("%s has no list of string track ids" % header_path)
-        # float64, as built: a float32 matrix would give another neighbour table
-        matrix = tensorio.read_tensor(path_prefix + ".emlt").astype(float)
         try:
-            return cls(ids=ids, matrix=matrix,
+            return cls(ids=ids, matrix=next(iter(tensors.values())),
                        provenance=header.get("provenance", {}))
         except DataError as exc:
             raise DataError("%s: %s" % (header_path, exc)) from exc

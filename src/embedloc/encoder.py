@@ -21,6 +21,15 @@ from .corpus import PAIR_MAX_SEPARATION_S, sample_pair
 from .errors import ConfigError, DataError, NumericalError
 
 
+def require_sizes(config, *names):
+    """Raise ConfigError unless each of the fields `names` of `config` is
+    at least 1."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ConfigError("%s must be at least 1, got %d"
+                              % (name, getattr(config, name)))
+
+
 @dataclass
 class TrainConfig:
     batch_pairs: int = 64
@@ -34,8 +43,9 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.warmup_steps >= self.total_steps:
-            raise ConfigError("warmup_steps must be < total_steps")
+        require_sizes(self, "total_steps", "embedding_dim", "hidden_units")
+        if not 0 <= self.warmup_steps < self.total_steps:
+            raise ConfigError("warmup_steps must be in [0, total_steps)")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.batch_pairs < 2:
@@ -138,9 +148,9 @@ class Mlp:
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
     def save(self, path, config, **fields):
-        """Write the tensors to directory `path`, with a header of the
+        """Write the tensors to directory `path`, with a header.json of the
         config and then `fields` (tensorio.save_params)."""
-        tensorio.save_params(path, self.tensors(),
+        tensorio.save_params(os.path.join(path, "header.json"), self.tensors(),
                              dict({"config": asdict(config)}, **fields))
 
     @classmethod
@@ -148,12 +158,13 @@ class Mlp:
         """(Mlp, config_type instance, header) from a directory written by
         save. Tensors that do not chain, or a stored config that
         config_type rejects, raise DataError naming the header."""
-        tensors, header = tensorio.load_params(path)
+        header_path = os.path.join(path, "header.json")
+        tensors, header = tensorio.load_params(header_path)
         try:
             return cls(**tensors), config_type(**header["config"]), header
         except (KeyError, TypeError, ConfigError, DataError) as exc:
             raise DataError("%s: bad parameter set: %s"
-                            % (os.path.join(path, "header.json"), exc)) from None
+                            % (header_path, exc)) from None
 
 
 def encode(params: Mlp, views, return_cache=False):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import derive_rng
-from .encoder import Mlp
+from .encoder import Mlp, require_sizes
 from .errors import ConfigError, DataError, NumericalError
 from .locality import TEMPO_OCTAVES
 
@@ -31,8 +31,7 @@ class ProbeConfig:
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must be in [0, 1)")
-        if self.batch_size < 1 or self.total_steps < 1:
-            raise ConfigError("batch_size and total_steps must be positive")
+        require_sizes(self, "batch_size", "total_steps", "hidden_units")
 
 
 def probe_scores(model: Mlp, embeddings, dropout_mask=None):

@@ -1,6 +1,6 @@
-"""EMLT binary tensor files, parameter sets (a directory of named EMLT
-tensors plus a JSON header) built from them, and the atomic writers and
-checked JSON reader every artifact goes through.
+"""EMLT binary tensor files, tensor sets (named EMLT tensors beside the
+JSON header that indexes them) built from them, and the atomic writers
+and checked JSON reader every artifact goes through.
 
 Layout (all little-endian):
     magic   4 bytes  b"EMLT"
@@ -13,6 +13,7 @@ Layout (all little-endian):
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import os
@@ -129,42 +130,50 @@ def read_tensor(path):
 
 
 def save_params(path, tensors, header):
-    """Write a parameter set to directory `path`: one EMLT file per named
-    tensor, then `header.json` holding `header` under a "tensors" index
-    of file names and dims."""
-    os.makedirs(path, exist_ok=True)
+    """Write a tensor set: one EMLT file per named tensor beside the JSON
+    header `path`, then the header, holding `header` under a "tensors"
+    index of each file's name, dims and SHA-256 of its stored values."""
+    folder = os.path.dirname(path)
+    os.makedirs(folder or ".", exist_ok=True)
     index = {}
     for name, tensor in tensors.items():
         fname = name + ".emlt"
-        write_tensor(os.path.join(path, fname), tensor)
-        index[name] = {"file": fname, "dims": list(tensor.shape)}
-    write_json(os.path.join(path, "header.json"),
-               dict({"tensors": index}, **header))
+        stored = np.ascontiguousarray(tensor, dtype="<f4")
+        write_tensor(os.path.join(folder, fname), stored)
+        index[name] = {"file": fname, "dims": list(stored.shape),
+                       "sha256": hashlib.sha256(stored).hexdigest()}
+    write_json(path, dict({"tensors": index}, **header))
 
 
 def load_params(path):
-    """Read a parameter set written by save_params: (tensors as float64
-    arrays by name, header). Tensor files are bare names inside `path`;
-    a header that names one elsewhere raises DataError naming the
-    header. A tensor whose shape differs from the dims the header gives
-    it raises DataError naming its file."""
-    header_path = os.path.join(path, "header.json")
-    header = read_json(header_path)
+    """Read a tensor set written by save_params from its header `path`:
+    (tensors as float64 arrays by name, header). Tensor files are bare
+    names beside the header; a header that names one elsewhere raises
+    DataError naming the header. A tensor whose shape differs from the
+    dims the header gives it raises DataError naming its file, and one
+    whose values differ from its digest raises DataError naming both."""
+    header = read_json(path)
     index = header.get("tensors") if isinstance(header, dict) else None
     if not (isinstance(index, dict) and all(
             isinstance(meta, dict) and isinstance(meta.get("file"), str)
             for meta in index.values())):
-        raise DataError("%s has no valid tensor index" % header_path)
+        raise DataError("%s has no valid tensor index" % path)
+    folder = os.path.dirname(path)
     tensors = {}
     for name, meta in index.items():
         fname = meta["file"]
         if os.path.basename(fname) != fname or fname in ("", ".", ".."):
             raise DataError("%s names tensor file %r, which is not a bare file"
-                            " name in %s" % (header_path, fname, path))
-        tensor_path = os.path.join(path, fname)
-        tensors[name] = read_tensor(tensor_path).astype(float)
-        if list(tensors[name].shape) != meta.get("dims"):
+                            " name in %s" % (path, fname, folder or "."))
+        tensor_path = os.path.join(folder, fname)
+        stored = read_tensor(tensor_path)
+        if list(stored.shape) != meta.get("dims"):
             raise DataError("%s holds a tensor of dims %s, but %s gives dims %s"
-                            % (tensor_path, list(tensors[name].shape),
-                               header_path, meta.get("dims")))
+                            % (tensor_path, list(stored.shape), path,
+                               meta.get("dims")))
+        if hashlib.sha256(stored).hexdigest() != meta.get("sha256"):
+            raise DataError("%s does not match the SHA-256 that %s gives it: a"
+                            " tensor from another write, or a set written"
+                            " before digests" % (tensor_path, path))
+        tensors[name] = stored.astype(float)
     return tensors, header

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -29,10 +30,10 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 def test_load_config_file_merge(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"seed": 3, "train": {"total_steps": 12}}))
+    path.write_text(json.dumps({"seed": 3, "train": {"total_steps": 1200}}))
     cfg = cli.load_config(str(path))
     assert cfg["seed"] == 3
-    assert cfg["train"]["total_steps"] == 12
+    assert cfg["train"]["total_steps"] == 1200
     assert cfg["train"]["peak_lr"] == cli.DEFAULT_CONFIG["train"]["peak_lr"]
 
 
@@ -554,18 +555,50 @@ EMBEDDING_HEADER = "out/embeddings/none-s0.json"
 DEEP = b"[" * 100000
 
 
+def _emlt(array):
+    """The bytes of an EMLT file holding `array` as float32."""
+    stored = np.asarray(array, dtype="<f4")
+    return (b"EMLT" + struct.pack("<3H%dQ" % stored.ndim, 1, 1, stored.ndim,
+                                  *stored.shape) + stored.tobytes())
+
+
 def _reshaped_tensor(name, shape):
     """A corruption of the checkpoint header that also rewrites tensor
-    `name` as zeros of `shape`, with header dims to match: it returns
-    the new contents of both files by path under the tree."""
+    `name` as zeros of `shape`, with header dims and digest to match: it
+    returns the new contents of both files by path under the tree."""
     def corrupt(header):
         doc = json.loads(header)
-        doc["tensors"][name]["dims"] = list(shape)
-        tensor = (b"EMLT" + struct.pack("<3H%dQ" % len(shape), 1, 1, len(shape), *shape)
-                  + bytes(4 * int(np.prod(shape))))
+        zeros = np.zeros(shape, dtype="<f4")
+        doc["tensors"][name].update(dims=list(shape),
+                                    sha256=hashlib.sha256(zeros).hexdigest())
         return {CHECKPOINT_HEADER: json.dumps(doc).encode(),
-                "out/checkpoints/none-s0/%s.emlt" % name: tensor}
+                "out/checkpoints/none-s0/%s.emlt" % name: _emlt(zeros)}
     return corrupt
+
+
+def _tensor_from_another_run(rel, shape):
+    """A corruption that leaves a header as it is and puts in `rel` a
+    tensor of the `shape` that header gives it, holding other values: a
+    set mixed from two runs."""
+    def corrupt(header):
+        return {rel: _emlt(np.random.default_rng(1).standard_normal(shape))}
+    return corrupt
+
+
+def _without_digests(header):
+    """The header of a set written before headers held digests."""
+    doc = json.loads(header)
+    for meta in doc["tensors"].values():
+        del meta["sha256"]
+    return json.dumps(doc).encode()
+
+
+def _second_tensor(header):
+    """An embedding header that indexes its tensor twice, by two names."""
+    doc = json.loads(header)
+    (meta,) = doc["tensors"].values()
+    doc["tensors"]["again"] = meta
+    return json.dumps(doc).encode()
 
 
 CORRUPT_INPUTS = [
@@ -623,6 +656,23 @@ CORRUPT_INPUTS = [
     # a tensor file outside the checkpoint directory (here: the same file)
     ("embed", CHECKPOINT_HEADER,
      lambda b: b.replace(b'"w2.emlt"', b'"../none-s0/w2.emlt"'), 3),
+    # sets mixed from two runs: a tensor of the dims the header gives it,
+    # but not the values its digest records
+    ("embed", CHECKPOINT_HEADER,
+     _tensor_from_another_run("out/checkpoints/none-s0/w1.emlt", (8, 216)), 3),
+    ("neighborhood", EMBEDDING_HEADER,
+     _tensor_from_another_run("out/embeddings/none-s0.emlt", (3, 4)), 3),
+    # sets written before headers held digests
+    ("embed", CHECKPOINT_HEADER, _without_digests, 3),
+    ("retrieval", EMBEDDING_HEADER, _without_digests, 3),
+    ("probe", EMBEDDING_HEADER,
+     lambda b: b'{"dim": 4, "ids": ["a", "b", "c"], "provenance": {}}', 3),
+    # an embedding header that indexes two tensors
+    ("neighborhood", EMBEDDING_HEADER, _second_tensor, 3),
+    # sizes below 1
+    ("train", "c.json", lambda b: b'{"train": {"embedding_dim": -3}}', 2),
+    ("train", "c.json", lambda b: b'{"train": {"hidden_units": 0}}', 2),
+    ("probe", "c.json", lambda b: b'{"probe": {"hidden_units": -2}}', 2),
 ]
 
 
@@ -640,6 +690,33 @@ def test_corrupt_input_exits_2_or_3_naming_the_file(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")
     assert path.name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["w2", "b1", "b2"])
+def test_reshaped_tensors_reach_the_layers_chain_check(tmp_path, capsys, name):
+    # their digests match, so loading fails on the layers, not the bytes
+    base = _valid_tree(tmp_path)
+    shape = {"w2": (4, 9), "b1": (3,), "b2": (4, 1)}[name]
+    new = _reshaped_tensor(name, shape)((tmp_path / CHECKPOINT_HEADER).read_bytes())
+    for rel, data in new.items():
+        (tmp_path / rel).write_bytes(data)
+    assert cli.main(["embed"] + base) == 3
+    err = capsys.readouterr().err
+    assert "header.json: bad parameter set: layers do not chain" in err
+
+
+@pytest.mark.parametrize("key", ["train.embedding_dim", "train.hidden_units",
+                                 "probe.hidden_units"])
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("command", ["synth", "train", "probe"])
+def test_size_below_one_exits_2_at_every_command(tmp_path, capsys, key, value,
+                                                  command):
+    assert cli.main([command, "--set", "%s=%d" % (key, value)]
+                    + _valid_tree(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "--set %s=%d" % (key, value) in err
+    assert "%s must be at least 1" % key.split(".")[1] in err
 
 
 @pytest.mark.parametrize("section", ["train", "probe", "augmentation"])

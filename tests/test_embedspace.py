@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +36,12 @@ def test_embedding_set_persistence(tmp_path):
     es.provenance = {"chain": "TS", "seed": 3}
     prefix = str(tmp_path / "emb")
     es.save(prefix)
+    # one tensor set: the header beside its one tensor, named for the prefix
+    assert sorted(os.listdir(tmp_path)) == ["emb.emlt", "emb.json"]
+    header = json.loads((tmp_path / "emb.json").read_text())
+    assert list(header) == ["tensors", "ids", "provenance"]
+    assert list(header["tensors"]) == ["emb"]
+    assert header["tensors"]["emb"]["file"] == "emb.emlt"
     back = EmbeddingSet.load(prefix)
     assert back.ids == es.ids
     # the stored float32 rows, read as float64 like the rows embed builds

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -479,6 +480,15 @@ def test_train_config_validation():
         TrainConfig(temperature=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_pairs=1)
+    with pytest.raises(ConfigError, match="warmup_steps"):
+        TrainConfig(total_steps=10, warmup_steps=-1)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("field", ["total_steps", "embedding_dim", "hidden_units"])
+def test_train_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ConfigError, match="%s must be at least 1" % field):
+        TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +541,10 @@ def test_checkpoint_directory_layout(tmp_path):
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
     path = tmp_path / "ckpt"
     params.save(str(path), cfg, num_bands=4, step=4, seed=cfg.rng_seed, x=1)
-    tensors = {name: {"file": name + ".emlt", "dims": list(t.shape)}
+    # each digest is of the file's float32 values, after its dims
+    tensors = {name: {"file": name + ".emlt", "dims": list(t.shape),
+                      "sha256": hashlib.sha256((path / (name + ".emlt")).read_bytes()
+                                               [10 + 8 * t.ndim:]).hexdigest()}
                for name, t in params.tensors().items()}
     config = {"batch_pairs": 4, "total_steps": 4, "warmup_steps": 1,
               "peak_lr": 0.001, "temperature": 0.1, "momentum": 0.0,

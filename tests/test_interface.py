@@ -1,7 +1,8 @@
 """The package's outward interface: options that were removed stay
 removed, the names and configs the pipeline benchmark relies on resolve,
-serialized formats keep their bytes, the package imports only the
-dependencies it declares, and the demos run."""
+serialized formats keep their bytes, tensor files are read and written
+through two formats only, the package imports only the dependencies it
+declares, and the demos run."""
 
 import ast
 import glob
@@ -154,6 +155,38 @@ def test_package_imports_exactly_its_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) == declared == {"numpy"}
+
+
+def _users(name):
+    """The functions of src/embedloc that refer to `name`, as
+    "module.function" or "module.Class.method" ("module" at top level)."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        visit(tree, [os.path.splitext(os.path.basename(path))[0]])
+    return users
+
+
+@pytest.mark.parametrize("name,users", [
+    ("read_tensor", {"tensorio.load_params", "melfront.MelSpectrogram.load"}),
+    ("write_tensor", {"tensorio.save_params", "melfront.MelSpectrogram.save"}),
+])
+def test_tensor_files_are_read_and_written_by_two_formats_only(name, users):
+    # spectrograms are single tensors; every other tensor artifact is a
+    # tensor set, read and written through one header format
+    assert _users(name) == users
 
 
 def test_cli_imports_without_scipy():

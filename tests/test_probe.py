@@ -29,6 +29,13 @@ def test_probe_config_validation():
         ProbeConfig(total_steps=0)
 
 
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("field", ["batch_size", "total_steps", "hidden_units"])
+def test_probe_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ConfigError, match="%s must be at least 1" % field):
+        ProbeConfig(**{field: value})
+
+
 def test_smooth_scores_matches_direct_convolution():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal(271)

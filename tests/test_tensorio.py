@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -120,19 +121,37 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
     np.testing.assert_array_equal(tensorio.read_tensor(path), np.zeros(5))
 
 
+def _payload_sha256(path):
+    """SHA-256 of an EMLT file's values: the bytes after its dims."""
+    data = path.read_bytes()
+    ndim = struct.unpack("<H", data[8:10])[0]
+    return hashlib.sha256(data[10 + 8 * ndim:]).hexdigest()
+
+
 def test_params_roundtrip_and_header_layout(tmp_path):
     tensors = {"w": np.arange(6.0).reshape(2, 3) / 7, "b": np.ones(3)}
-    tensorio.save_params(tmp_path / "p", tensors, {"config": {"k": 1}, "step": 2})
-    text = (tmp_path / "p" / "header.json").read_text(encoding="utf-8")
+    header = tmp_path / "p" / "header.json"
+    tensorio.save_params(header, tensors, {"config": {"k": 1}, "step": 2})
+    text = header.read_text(encoding="utf-8")
     assert text == json.dumps({
-        "tensors": {"w": {"file": "w.emlt", "dims": [2, 3]},
-                    "b": {"file": "b.emlt", "dims": [3]}},
+        "tensors": {"w": {"file": "w.emlt", "dims": [2, 3],
+                          "sha256": _payload_sha256(tmp_path / "p" / "w.emlt")},
+                    "b": {"file": "b.emlt", "dims": [3],
+                          "sha256": _payload_sha256(tmp_path / "p" / "b.emlt")}},
         "config": {"k": 1}, "step": 2}, indent=2)
-    back, header = tensorio.load_params(tmp_path / "p")
+    assert sorted(os.listdir(tmp_path / "p")) == ["b.emlt", "header.json", "w.emlt"]
+    back, header = tensorio.load_params(header)
     assert header["step"] == 2 and list(back) == ["w", "b"]
     for name, tensor in tensors.items():
         assert back[name].dtype == np.float64
         np.testing.assert_array_equal(back[name], tensor.astype(np.float32))
+
+
+def test_params_header_may_sit_in_any_directory_beside_its_tensors(tmp_path):
+    tensorio.save_params(tmp_path / "new" / "set.json", {"set": np.ones(2)}, {})
+    assert sorted(os.listdir(tmp_path / "new")) == ["set.emlt", "set.json"]
+    back, _ = tensorio.load_params(tmp_path / "new" / "set.json")
+    np.testing.assert_array_equal(back["set"], np.ones(2))
 
 
 @pytest.mark.parametrize("fname", ["../q/w.emlt", "sub/w.emlt", "ABS", "", ".", ".."],
@@ -140,19 +159,48 @@ def test_params_roundtrip_and_header_layout(tmp_path):
 def test_params_tensor_file_must_be_a_bare_name(tmp_path, fname):
     # a set elsewhere holding the same tensor, so only the name can fail
     for d in ("p", "q", "p/sub"):
-        tensorio.save_params(tmp_path / d, {"w": np.ones(2)}, {})
+        tensorio.save_params(tmp_path / d / "header.json", {"w": np.ones(2)}, {})
     if fname == "ABS":
         fname = str(tmp_path / "q" / "w.emlt")
     header = tmp_path / "p" / "header.json"
+    meta = json.loads(header.read_text())["tensors"]["w"]
     header.write_text(json.dumps(
-        {"tensors": {"w": {"file": fname, "dims": [2]}}}))
+        {"tensors": {"w": dict(meta, file=fname)}}))
     with pytest.raises(DataError, match="header.json"):
-        tensorio.load_params(tmp_path / "p")
+        tensorio.load_params(header)
+
+
+def test_params_tensor_from_another_write_is_rejected(tmp_path):
+    # an interrupted rewrite: the new w beside the old b and the old header
+    header = tmp_path / "header.json"
+    tensorio.save_params(header, {"w": np.zeros((2, 3)), "b": np.ones(3)}, {})
+    old = header.read_bytes()
+    tensorio.save_params(header, {"w": np.ones((2, 3)), "b": np.ones(3)}, {})
+    header.write_bytes(old)
+    with pytest.raises(DataError,
+                       match="w.emlt does not match the SHA-256 that .*header.json"):
+        tensorio.load_params(header)
+
+
+@pytest.mark.parametrize("digest", [None, "0" * 64, 7],
+                         ids=["absent", "other", "not-a-string"])
+def test_params_tensor_without_its_digest_is_rejected(tmp_path, digest):
+    # None: a set written before the header held digests
+    header = tmp_path / "header.json"
+    tensorio.save_params(header, {"w": np.ones(2)}, {})
+    doc = json.loads(header.read_text())
+    doc["tensors"]["w"].pop("sha256")
+    if digest is not None:
+        doc["tensors"]["w"]["sha256"] = digest
+    header.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="header.json"):
+        tensorio.load_params(header)
 
 
 def test_params_header_write_that_fails_leaves_the_old_header(tmp_path, monkeypatch):
-    tensorio.save_params(tmp_path, {"w": np.ones(2)}, {"step": 1})
-    before = (tmp_path / "header.json").read_bytes()
+    header = tmp_path / "header.json"
+    tensorio.save_params(header, {"w": np.ones(2)}, {"step": 1})
+    before = header.read_bytes()
 
     def failing_dump(obj, fh, **kw):
         fh.write("{")
@@ -160,9 +208,9 @@ def test_params_header_write_that_fails_leaves_the_old_header(tmp_path, monkeypa
 
     monkeypatch.setattr(tensorio.json, "dump", failing_dump)
     with pytest.raises(OSError, match="No space"):
-        tensorio.save_params(tmp_path, {"w": np.ones(2)}, {"step": 2})
+        tensorio.save_params(header, {"w": np.ones(2)}, {"step": 2})
     assert sorted(os.listdir(tmp_path)) == ["header.json", "w.emlt"]
-    assert (tmp_path / "header.json").read_bytes() == before
+    assert header.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
