@@ -7,6 +7,7 @@ track_id, feature_path, duration_s, bpm, key_label, tags, split.
 
 import ctypes
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -17,8 +18,8 @@ from . import tensorio
 from .analysis import PITCH_CLASSES
 from .augment import AugmentationSpec, derive_rng
 from .errors import ConfigError, DataError, TrackTooShort
-from .melfront import (MelConfig, MelSpectrogram, compute_mel, load_pcm_f32,
-                       load_pcm_wav, write_pcm_wav)
+from .melfront import (BLAS_ONE_THREAD_MACS, MelConfig, MelSpectrogram,
+                       compute_mel, load_pcm_f32, load_pcm_wav, write_pcm_wav)
 
 KEY_VOCABULARY = tuple("%s:%s" % (pc, quality)
                        for pc in PITCH_CLASSES for quality in ("maj", "min"))
@@ -39,6 +40,12 @@ class TrackRecord:
     split: str = "train"
 
     def __post_init__(self):
+        if not (isinstance(self.track_id, str) and isinstance(self.feature_path, str)):
+            raise DataError("track_id %r and feature_path %r must be strings"
+                            % (self.track_id, self.feature_path))
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise DataError("track %s: duration_s %r is not a finite positive number"
+                            % (self.track_id, self.duration_s))
         if self.bpm is not None and not (30.0 <= self.bpm <= 300.0):
             raise DataError("track %s: bpm %g outside [30, 300]"
                             % (self.track_id, self.bpm))
@@ -54,9 +61,13 @@ class TrackRecord:
 
     @classmethod
     def from_dict(cls, d):
+        tags = d.get("tags", ())
+        if not (isinstance(tags, (list, tuple)) and all(isinstance(t, str) for t in tags)):
+            raise DataError("track %s: tags %r are not a list of strings"
+                            % (d["track_id"], tags))
         return cls(track_id=d["track_id"], feature_path=d["feature_path"],
                    duration_s=float(d["duration_s"]), bpm=d.get("bpm"),
-                   key_label=d.get("key_label"), tags=tuple(d.get("tags", ())),
+                   key_label=d.get("key_label"), tags=tags,
                    split=d.get("split", "train"))
 
 
@@ -190,8 +201,9 @@ def sample_pair(record: TrackRecord, mel: MelSpectrogram,
     a_off, p_off = sample_pair_offsets(record.duration_s, spec.context_seconds, rng)
 
     def segment(offset_s):
-        start = int(round(offset_s * cfg.frames_per_second))
-        start = min(start, mel.num_frames - ctx_frames)
+        # clamped before rounding, so that no finite offset overflows
+        start = int(round(min(offset_s * cfg.frames_per_second,
+                              mel.num_frames - ctx_frames)))
         if start < 0:
             raise TrackTooShort("track %s has %d frames, need %d"
                                 % (record.track_id, mel.num_frames, ctx_frames))
@@ -214,15 +226,16 @@ SINUSOID_BLOCK = 512   # samples per block of the sinusoid bank
 
 
 def _sinusoid_bank(freqs, amps, phases, n, rate):
-    """sum_p amps[p]·sin(2π·freqs[p]·i/rate + phases[p]) for i < n.
+    """sum_p amps[p]·sin(2π·freqs[p]·i/rate + phases[p]) for i < n, as a
+    view of a new (blocks × SINUSOID_BLOCK) buffer.
 
     By angle addition over blocks of B = SINUSOID_BLOCK samples,
     sin(a + b) = sin(a)·cos(b) + cos(a)·sin(b), with a the angle at a
     block's first sample and b the angle advanced within the block, so
     sin and cos are taken of (n/B + B) angles per partial, not n. The
-    (blocks × 2P) by (2P × B) product runs in einsum, not BLAS: it is
-    called from map_tracks' worker threads, and OpenBLAS threads started
-    in each of them would oversubscribe the cores."""
+    (blocks × 2P) by (2P × B) product runs as one BLAS product per run of
+    blocks, each within BLAS_ONE_THREAD_MACS, so each stays on the
+    calling thread of map_tracks' pool."""
     omega = 2.0 * np.pi * freqs[:, None]
     starts = (omega * (np.arange(0, n, SINUSOID_BLOCK) / rate)
               + np.array(phases)[:, None]).T
@@ -230,12 +243,18 @@ def _sinusoid_bank(freqs, amps, phases, n, rate):
     at_starts = np.concatenate([amps * np.sin(starts), amps * np.cos(starts)],
                                axis=1)
     in_block = np.concatenate([np.cos(offsets), np.sin(offsets)])
-    return np.einsum("kp,pb->kb", at_starts, in_block).ravel()[:n]
+    out = np.empty((len(at_starts), SINUSOID_BLOCK))
+    rows = BLAS_ONE_THREAD_MACS // max(1, in_block.size)   # P = 0: one run
+    for a in range(0, len(out), rows):
+        np.matmul(at_starts[a:a + rows], in_block, out=out[a:a + rows])
+    return out.ravel()[:n]
 
 
 def synthesize_track(bpm, key_label, timbre, duration_s, rate, rng):
     """One music-like mono track: a click train at `bpm` plus a sustained
-    triad in `key_label`, voiced per the timbre family."""
+    triad in `key_label`, voiced per the timbre family. The triad's
+    buffer becomes the track: clicks are added into it in place, and it
+    is normalized in place."""
     n = int(round(duration_s * rate))
     pc_name, quality = key_label.split(":")
     pc = PITCH_CLASSES.index(pc_name)
@@ -250,22 +269,26 @@ def synthesize_track(bpm, key_label, timbre, duration_s, rate, rng):
     # draw order every existing corpus was made with
     partials = np.array([p for p in partials if p[0] < rate / 2.0]).reshape(-1, 2)
     phases = [rng.uniform(0, 2 * np.pi) for _ in partials]
-    tonal = _sinusoid_bank(partials[:, 0], partials[:, 1], phases, n, rate)
+    signal = _sinusoid_bank(partials[:, 0], partials[:, 1], phases, n, rate)
 
-    clicks = np.zeros(n)
     burst_len = int(0.008 * rate)
     burst = rng.standard_normal(burst_len) * np.exp(-np.arange(burst_len) / (0.002 * rate))
+    # the triad and the clicks at the timbre's gains; a gain of 1.0 is exact
+    if timbre == "noise-perc":
+        signal *= 0.35
+    else:
+        burst *= 0.5
+    # bursts overlap only above 7500 BPM, so each sample gains at most one
     for ct in _click_times(bpm, duration_s):
         start = int(round(ct * rate))
         stop = min(n, start + burst_len)
-        clicks[start:stop] += burst[:stop - start]
+        signal[start:stop] += burst[:stop - start]
 
-    if timbre == "noise-perc":
-        signal = 0.35 * tonal + 1.0 * clicks
-    else:
-        signal = 1.0 * tonal + 0.5 * clicks
-    peak = np.max(np.abs(signal))
-    return 0.5 * signal / peak if peak > 0 else signal
+    peak = max(signal.max(), -signal.min())
+    if peak > 0:
+        signal *= 0.5
+        signal /= peak
+    return signal
 
 
 def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,

@@ -25,6 +25,14 @@ STFT_BLOCK_FRAMES = 128
 # consecutive mel bands per filterbank group in compute_mel
 BAND_GROUP = 8
 
+# OpenBLAS runs a GEMM of m·n·k multiply-adds on the calling thread when
+# m·n·k <= GEMM_MULTITHREAD_THRESHOLD × SMP_THRESHOLD_MIN = 4 × 65536, and
+# splits a larger one across its own threads. Products issued from
+# map_tracks' worker threads stay within it (BAND_GROUP, STFT_BLOCK_FRAMES,
+# corpus.SINUSOID_BLOCK), so they never oversubscribe the cores and their
+# results do not depend on the number of BLAS threads.
+BLAS_ONE_THREAD_MACS = 4 * 65536
+
 
 def hz_to_mel(f):
     return HTK_MEL_CONST * np.log10(1.0 + np.asarray(f, dtype=float) / 700.0)
@@ -234,9 +242,10 @@ def load_pcm_wav(path):
 
 def write_pcm_wav(path, pcm, rate):
     """Write float samples (clipped to [-1, 1)) as mono 16-bit WAV,
-    atomically."""
+    atomically. `pcm` is left unchanged."""
     scaled = np.clip(np.asarray(pcm, dtype=float), -1.0, 32767.0 / 32768.0)
-    data = (scaled * 32768.0).astype("<i2").tobytes()
+    scaled *= 32768.0
+    data = scaled.astype("<i2")
     with tensorio.atomic_write(path) as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)

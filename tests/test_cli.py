@@ -601,6 +601,19 @@ def _second_tensor(header):
     return json.dumps(doc).encode()
 
 
+def _first_row(field, value):
+    """A corruption of a manifest that sets `field` of its first record
+    (a train track) to `value`, written as JSON."""
+    def corrupt(manifest):
+        first, rest = manifest.split(b"\n", 1)
+        doc = json.loads(first)
+        doc[field] = value
+        return json.dumps(doc).encode() + b"\n" + rest
+    return corrupt
+
+
+FEATURE_MANIFEST = "out/features/manifest.jsonl"
+
 CORRUPT_INPUTS = [
     # (command, file under the tree, new contents from the intact ones, exit
     # code); new contents given as a dict replace several files by path
@@ -673,6 +686,15 @@ CORRUPT_INPUTS = [
     ("train", "c.json", lambda b: b'{"train": {"embedding_dim": -3}}', 2),
     ("train", "c.json", lambda b: b'{"train": {"hidden_units": 0}}', 2),
     ("probe", "c.json", lambda b: b'{"probe": {"hidden_units": -2}}', 2),
+    # manifest fields of the wrong type or range
+    ("train", FEATURE_MANIFEST, _first_row("duration_s", float("inf")), 3),
+    ("neighborhood", FEATURE_MANIFEST, _first_row("tags", [{"a": 1}]), 3),
+    ("retrieval", FEATURE_MANIFEST, _first_row("tags", ["a", 1]), 3),
+    ("neighborhood", FEATURE_MANIFEST, _first_row("tags", [None]), 3),
+    ("train", FEATURE_MANIFEST, _first_row("feature_path", 5), 3),
+    ("embed", FEATURE_MANIFEST, _first_row("feature_path", 5), 3),
+    ("sweep", FEATURE_MANIFEST, _first_row("feature_path", 5), 3),
+    ("neighborhood", FEATURE_MANIFEST, _first_row("track_id", 5), 3),
 ]
 
 
@@ -690,6 +712,15 @@ def test_corrupt_input_exits_2_or_3_naming_the_file(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "data error:")
     assert path.name in err and "Traceback" not in err
+
+
+def test_train_on_a_track_declared_longer_than_any_float_window_exits_0(tmp_path,
+                                                                          capsys):
+    # the windows clamp to the track's last one, as for a smaller overshoot
+    base = _valid_tree(tmp_path)
+    manifest = tmp_path / FEATURE_MANIFEST
+    manifest.write_bytes(_first_row("duration_s", 1e308)(manifest.read_bytes()))
+    assert cli.main(["train"] + base) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["w2", "b1", "b2"])

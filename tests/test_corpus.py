@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import wave
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def test_pair_sampling_determinism():
     assert a.anchor.num_frames == spec.context_frames(cfg)
 
 
+def test_pair_offsets_past_the_track_clamp_to_its_last_window():
+    # a manifest may declare any finite duration; the windows clamp to the
+    # spectrogram's last one, however far past it the offsets fall
+    cfg = melfront.MelConfig()
+    values = np.random.default_rng(3).uniform(-3, 1, size=(cfg.num_bands, 1600))
+    mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="t")
+    spec = AugmentationSpec()
+    frames = spec.context_frames(cfg)
+    for duration_s in (20.0, 1e6, 1e308, 1.7e308):
+        rec = corpus.TrackRecord("t", "t.emlt", duration_s)
+        pair = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
+        if duration_s > 20.0:
+            np.testing.assert_array_equal(pair.anchor.values, values[:, -frames:])
+        for seg in (pair.anchor, pair.positive):
+            assert seg.num_frames == frames
+
+
 def test_corpus_coverage(tmp_path):
     records = corpus.generate_synthetic_corpus(str(tmp_path), 200, seed=11,
                                                duration_s=2.0)
@@ -117,6 +135,17 @@ def test_extract_features_roundtrip(tmp_path, mel_config):
     '{"track_id": "x", "duration_s": 16.0}',
     '["x", "x.wav", 16.0]',
     '{"track_id": "x", "feature_path": "x.wav", "duration_s": "long"}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": Infinity}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": NaN}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": 0}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": -16.0}',
+    '{"track_id": 5, "feature_path": "x.wav", "duration_s": 16.0}',
+    '{"track_id": "x", "feature_path": 5, "duration_s": 16.0}',
+    '{"track_id": "x", "feature_path": null, "duration_s": 16.0}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": [{"a": 1}]}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": ["a", 1]}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": [null]}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": "ab"}',
 ])
 def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
     good = corpus.TrackRecord("a", "a.wav", 16.0)
@@ -167,12 +196,13 @@ def pcm16(signal):
 
 
 @pytest.mark.parametrize("timbre", corpus.TIMBRE_TAGS)
-@pytest.mark.parametrize("rate", [8000, 16000, 22050])
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 1000])
 @pytest.mark.parametrize("n", [1, 511, 512, 513, "16 s"])
 @pytest.mark.parametrize("key", ["C:maj", "B:min"])
 def test_synthesize_track_matches_the_per_sample_reference(n, rate, timbre, key):
     # at 8000 Hz the saw-like B's fifth harmonic (4939 Hz) is dropped, and
-    # with it that partial's phase draw
+    # with it that partial's phase draw; at 1000 Hz every partial lies
+    # above Nyquist, so the bank has none and the track is clicks only
     n = 16 * rate if n == "16 s" else n
     got_rng, want_rng = derive_rng(5, "track", n), derive_rng(5, "track", n)
     got = corpus.synthesize_track(97, key, timbre, n / rate, rate, got_rng)
@@ -183,6 +213,47 @@ def test_synthesize_track_matches_the_per_sample_reference(n, rate, timbre, key)
     assert lsb.max() <= 1
     # the same draws, in the same order
     assert got_rng.uniform() == want_rng.uniform()
+
+
+def test_wav_writer_stores_the_reference_samples_and_leaves_its_input(tmp_path):
+    pcm = np.concatenate([[-2.0, -1.0, 32767.0 / 32768.0, 1.0, 1.5, 0.0, -0.0],
+                          np.random.default_rng(4).uniform(-1.2, 1.2, 1000)])
+    kept = pcm.copy()
+    pcm.flags.writeable = False
+    melfront.write_pcm_wav(str(tmp_path / "a.wav"), pcm, 16000)
+    np.testing.assert_array_equal(pcm, kept)
+    with wave.open(str(tmp_path / "a.wav"), "rb") as wf:
+        assert (wf.getnchannels(), wf.getsampwidth(), wf.getframerate()) == (1, 2, 16000)
+        stored = wf.readframes(wf.getnframes())
+    assert stored == pcm16(kept).astype("<i2").tobytes()
+    assert list(np.frombuffer(stored, "<i2")[:5]) == [-32768, -32768, 32767, 32767, 32767]
+
+
+@pytest.mark.parametrize("timbre,rate,mel", [
+    ("sine", 16000, False), ("saw-like", 16000, False),
+    ("sine", 1000, False),   # no partial below Nyquist
+    ("sine", 16000, True),   # compute_mel's band groups at the default config
+])
+def test_blas_products_stay_within_the_one_thread_bound(monkeypatch, timbre, rate,
+                                                        mel):
+    # OpenBLAS splits a larger product across its own threads, inside each
+    # of map_tracks' workers; raising SINUSOID_BLOCK, BAND_GROUP or
+    # STFT_BLOCK_FRAMES past the bound fails here
+    products, real_matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        products.append((a.shape[0], a.shape[1], b.shape[1]))
+        return real_matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    pcm = corpus.synthesize_track(97, "C:maj", timbre, 16.0, rate, derive_rng(0, "b"))
+    # the bank's runs cover every block of the track once
+    assert sum(m for m, _, _ in products) == -(-16 * rate // corpus.SINUSOID_BLOCK)
+    if mel:
+        products.clear()
+        melfront.compute_mel(pcm, melfront.MelConfig())
+    assert products
+    assert max(m * k * n for m, k, n in products) <= melfront.BLAS_ONE_THREAD_MACS
 
 
 def test_fixture_corpus_wavs_equal_the_reference(small_corpus, corpus_dir, tmp_path):
