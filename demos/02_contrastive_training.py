@@ -23,10 +23,10 @@ print("corpus: %d tracks, BPM %g..%g"
 
 spec = AugmentationSpec(chain=("TS",))
 train_cfg = encoder.TrainConfig(batch_pairs=8, total_steps=120,
-                                warmup_steps=10, peak_lr=0.002, rng_seed=0)
+                                warmup_steps=10, peak_lr=0.002)
 mels = {r.track_id: corpus.load_track_mel(r, cfg, base_dir=work + "/feat")
         for r in records}
-params, losses = encoder.train(records, mels, spec, train_cfg)
+params, losses = encoder.train(records, mels, spec, train_cfg, seed=0)
 print("trained with chain %s: loss %.3f -> %.3f"
       % (spec.chain, np.mean(losses[:10]), np.mean(losses[-10:])))
 

@@ -26,8 +26,8 @@ embeddings = {}
 for name, chain in (("none", ()), ("TS", ("TS",))):
     spec = AugmentationSpec(chain=chain)
     train_cfg = encoder.TrainConfig(batch_pairs=16, total_steps=400,
-                                    warmup_steps=20, peak_lr=0.002, rng_seed=0)
-    params, _ = encoder.train(records, mels, spec, train_cfg)
+                                    warmup_steps=20, peak_lr=0.002)
+    params, _ = encoder.train(records, mels, spec, train_cfg, seed=0)
     embeddings[name] = (params,
                         embedspace.build_embedding_set(mels.values(), params,
                                                        window))
@@ -50,7 +50,7 @@ print("  (a TS-trained encoder should be flatter: stretched copies stay close)")
 
 # the tempo probe reads BPM back out of the embeddings
 model, _ = probe.train_probe(embeddings["none"][1], records,
-                             probe.ProbeConfig(total_steps=600, rng_seed=0))
+                             probe.ProbeConfig(total_steps=600), seed=0)
 test = [r for r in records if r.split == "test"]
 est = [probe.estimate_tempo(model, embeddings["none"][1].vector(r.track_id))
        for r in test]

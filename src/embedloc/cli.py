@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -29,15 +30,7 @@ from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
                        compute_neighborhood_report, manipulation_sweep,
                        tag_precision, tag_retrieval)
 from .melfront import MelConfig
-from .probe import (BPM_MAX, BPM_MIN, ProbeConfig, acc1_hits, acc2_hits,
-                    estimate_tempo, train_probe)
-
-
-def _unseeded(config):
-    """A config object's fields without rng_seed, which comes from `seed`."""
-    fields = asdict(config)
-    del fields["rng_seed"]
-    return fields
+from .probe import ProbeConfig, acc1_hits, acc2_hits, estimate_tempo, train_probe
 
 
 DEFAULT_CONFIG = {
@@ -46,8 +39,8 @@ DEFAULT_CONFIG = {
     "corpus": {"num_tracks": 48, "duration_s": 16.0, "test_fraction": 0.25},
     "mel": asdict(MelConfig()),
     "augmentation": AugmentationSpec().to_dict(),
-    "train": _unseeded(TrainConfig()),
-    "probe": _unseeded(ProbeConfig()),
+    "train": asdict(TrainConfig()),
+    "probe": asdict(ProbeConfig()),
     "metrics": {
         "k_grid": [1, 2, 4, 8],
         "stretch_grid": list(DEFAULT_STRETCH_GRID),
@@ -142,17 +135,17 @@ def load_config(path=None, overrides=()):
                               " need at least 2" % (spec.output_seconds, frames,
                                                     mel.frames_per_second))
 
-    # each section is checked whole here, so that every command, not only
-    # the one that uses it, rejects it, naming where it was set
-    for section, check in (("augmentation", check_augmentation),
-                           ("train", lambda: TrainConfig(**config["train"])),
-                           ("probe", lambda: ProbeConfig(**config["probe"]))):
+    # each section is checked whole, so every command rejects it, naming
+    # where it and any section its check reads (mel) were set
+    for sections, check in ((("augmentation", "mel"), check_augmentation),
+                            (("train",), lambda: TrainConfig(**config["train"])),
+                            (("probe",), lambda: ProbeConfig(**config["probe"]))):
         try:
             check()
         except ConfigError as exc:
             origin = ([path] if path else []) + [
-                "--set " + item for item in overrides if item.startswith(section + ".")]
-            raise ConfigError("%s from %s: %s" % (section, ", ".join(origin), exc))
+                "--set " + item for item in overrides if item.split(".")[0] in sections]
+            raise ConfigError("%s from %s: %s" % (sections[0], ", ".join(origin), exc))
     return config
 
 
@@ -205,17 +198,15 @@ def _checkpoint_dir(config):
 
 
 def _load_checkpoint(config):
-    """The run's encoder parameters, once the checkpoint is known to match
-    the configured mel bands."""
+    """The run's encoder parameters, once w1's width is known to be the
+    feature_dim of the configured mel bands (one-to-one in the count)."""
     path = _checkpoint_dir(config)
-    params, _, header = Mlp.load(path, TrainConfig)
+    params, _, _ = Mlp.load(path, TrainConfig)
     bands = config["mel"]["num_bands"]
-    if header.get("num_bands") != bands or params.w1.shape[1] != feature_dim(bands):
+    if params.w1.shape[1] != feature_dim(bands):
         raise DataError(
-            "checkpoint %s was trained on %r mel bands (w1 %s), but mel.num_bands"
-            " is %d (feature dim %d)" % (path, header.get("num_bands"),
-                                         "x".join(map(str, params.w1.shape)),
-                                         bands, feature_dim(bands)))
+            "checkpoint %s has w1 %s, but mel.num_bands %d needs feature dim %d"
+            % (path, "x".join(map(str, params.w1.shape)), bands, feature_dim(bands)))
     return params
 
 
@@ -266,14 +257,12 @@ def cmd_extract(config):
 def cmd_train(config):
     records = _feature_manifest(config)
     spec = _aug_spec(config)
-    train_cfg = TrainConfig(**config["train"], rng_seed=config["seed"])
+    train_cfg = TrainConfig(**config["train"])
     mels = {mel.source_id: mel for mel in
             _load_mels(usable_train_tracks(records, spec), config)}
-    params, losses = train(records, mels, spec, train_cfg)
+    params, losses = train(records, mels, spec, train_cfg, seed=config["seed"])
     ckpt = _checkpoint_dir(config)
-    params.save(ckpt, train_cfg, num_bands=config["mel"]["num_bands"],
-                step=train_cfg.total_steps, seed=train_cfg.rng_seed,
-                provenance=_provenance(config))
+    params.save(ckpt, train_cfg, _provenance(config))
     tensorio.write_csv(os.path.join(ckpt, "loss.csv"), ["step", "loss"],
                        enumerate(losses))
     print("train: %d steps, final loss %.4f, checkpoint %s"
@@ -350,12 +339,15 @@ def cmd_retrieval(config):
 def cmd_probe(config):
     records = _feature_manifest(config)
     emb = _load_embeddings(config)
-    probe_cfg = ProbeConfig(**config["probe"], rng_seed=config["seed"])
-    model, losses = train_probe(emb, records, probe_cfg)
+    probe_cfg = ProbeConfig(**config["probe"])
+    model, losses = train_probe(emb, records, probe_cfg, seed=config["seed"])
     out = config["paths"]["output_dir"]
     probe_dir = os.path.join(out, "probe-%s" % _artifact_id(config))
-    model.save(probe_dir, probe_cfg, bpm_min=BPM_MIN, bpm_max=BPM_MAX,
-               provenance=_provenance(config))
+    # a former run's evaluation must not outlive the weights it scored
+    for name in ("summary.json", "eval.csv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(probe_dir, name))
+    model.save(probe_dir, probe_cfg, _provenance(config))
     test = [r for r in records if r.split == "test" and r.bpm is not None]
     rows = []
     for rec in test:

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensorio
 from .analysis import PITCH_CLASSES
 from .augment import AugmentationSpec, derive_rng
-from .errors import ConfigError, DataError, TrackTooShort
+from .errors import ConfigError, DataError
 from .melfront import (BLAS_ONE_THREAD_MACS, MelConfig, MelSpectrogram,
                        compute_mel, load_pcm_f32, load_pcm_wav, write_pcm_wav)
 
@@ -27,6 +27,11 @@ KEY_VOCABULARY = tuple("%s:%s" % (pc, quality)
 PAIR_MAX_SEPARATION_S = 5.0
 
 TIMBRE_TAGS = ("sine", "saw-like", "noise-perc")
+
+BPM_MIN, BPM_MAX = 30, 300   # the labelled tempo range, in integer BPM
+
+# a mono 16-bit WAV stores rate * 2 and 36 + samples * 2 in u32 fields
+WAV_MAX_RATE_HZ, WAV_MAX_SAMPLES = (2 ** 32 - 1) // 2, (2 ** 32 - 1 - 36) // 2
 
 
 @dataclass
@@ -43,31 +48,34 @@ class TrackRecord:
         if not (isinstance(self.track_id, str) and isinstance(self.feature_path, str)):
             raise DataError("track_id %r and feature_path %r must be strings"
                             % (self.track_id, self.feature_path))
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+        duration = self.duration_s
+        if not (isinstance(duration, (int, float)) and not isinstance(duration, bool)
+                and math.isfinite(duration) and duration > 0):
             raise DataError("track %s: duration_s %r is not a finite positive number"
-                            % (self.track_id, self.duration_s))
-        if self.bpm is not None and not (30.0 <= self.bpm <= 300.0):
-            raise DataError("track %s: bpm %g outside [30, 300]"
-                            % (self.track_id, self.bpm))
+                            % (self.track_id, duration))
+        if self.bpm is not None and not (BPM_MIN <= self.bpm <= BPM_MAX):
+            raise DataError("track %s: bpm %g outside [%d, %d]"
+                            % (self.track_id, self.bpm, BPM_MIN, BPM_MAX))
         if self.key_label is not None and self.key_label not in KEY_VOCABULARY:
             raise DataError("track %s: unknown key label %r"
                             % (self.track_id, self.key_label))
         if self.split not in ("train", "test"):
             raise DataError("track %s: unknown split %r" % (self.track_id, self.split))
+        if not (isinstance(self.tags, (list, tuple))
+                and all(isinstance(t, str) for t in self.tags)):
+            raise DataError("track %s: tags %r are not a list of strings"
+                            % (self.track_id, self.tags))
         self.tags = tuple(self.tags)
+        self.duration_s = float(duration)
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        tags = d.get("tags", ())
-        if not (isinstance(tags, (list, tuple)) and all(isinstance(t, str) for t in tags)):
-            raise DataError("track %s: tags %r are not a list of strings"
-                            % (d["track_id"], tags))
         return cls(track_id=d["track_id"], feature_path=d["feature_path"],
-                   duration_s=float(d["duration_s"]), bpm=d.get("bpm"),
-                   key_label=d.get("key_label"), tags=tags,
+                   duration_s=d["duration_s"], bpm=d.get("bpm"),
+                   key_label=d.get("key_label"), tags=d.get("tags", ()),
                    split=d.get("split", "train"))
 
 
@@ -184,8 +192,8 @@ def sample_pair_offsets(duration_s, context_s, rng):
     hi = duration_s - context_s
     minimum = 2.0 * context_s + PAIR_MAX_SEPARATION_S
     if duration_s < minimum:
-        raise TrackTooShort("duration %.2f s below minimum %.2f s"
-                            % (duration_s, minimum))
+        raise DataError("duration %.2f s below minimum %.2f s"
+                        % (duration_s, minimum))
     anchor = rng.uniform(0.0, hi)
     positive = rng.uniform(max(0.0, anchor - PAIR_MAX_SEPARATION_S),
                            min(hi, anchor + PAIR_MAX_SEPARATION_S))
@@ -205,8 +213,8 @@ def sample_pair(record: TrackRecord, mel: MelSpectrogram,
         start = int(round(min(offset_s * cfg.frames_per_second,
                               mel.num_frames - ctx_frames)))
         if start < 0:
-            raise TrackTooShort("track %s has %d frames, need %d"
-                                % (record.track_id, mel.num_frames, ctx_frames))
+            raise DataError("track %s has %d frames, need %d"
+                            % (record.track_id, mel.num_frames, ctx_frames))
         return mel.window(start, ctx_frames)
 
     return PairSample(anchor=segment(a_off), positive=segment(p_off),
@@ -302,9 +310,13 @@ def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
         raise ConfigError("num_tracks must be at least 1, got %d" % num_tracks)
     if not 0.0 <= test_fraction <= 1.0:
         raise ConfigError("test_fraction must be in [0, 1], got %g" % test_fraction)
-    if round(duration_s * sample_rate_hz) < 1:
-        raise ConfigError("corpus.duration_s must give at least one sample, got "
-                          "%g s at %d Hz" % (duration_s, sample_rate_hz))
+    if sample_rate_hz > WAV_MAX_RATE_HZ:
+        raise ConfigError("mel.sample_rate_hz must be at most %d for a WAV, got %d"
+                          % (WAV_MAX_RATE_HZ, sample_rate_hz))
+    # a track has round(duration_s * sample_rate_hz) samples
+    if not 0.5 < duration_s * sample_rate_hz < WAV_MAX_SAMPLES + 0.5:
+        raise ConfigError("corpus.duration_s must give 1 to %d samples, got %g s at"
+                          " %d Hz" % (WAV_MAX_SAMPLES, duration_s, sample_rate_hz))
     rng = derive_rng(seed, "corpus")
     os.makedirs(out_dir, exist_ok=True)
     bpm_grid = np.linspace(60, 180, 25).round().astype(int)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensorio
 from .encoder import encode
-from .errors import DataError, TrackTooShort
+from .errors import DataError
 
 
 @dataclass
@@ -97,8 +97,8 @@ def embed_track(mel, params, window_frames):
     re-normalized to unit length."""
     windows = track_windows(mel, window_frames)
     if not windows:
-        raise TrackTooShort("track %s: %d frames < window of %d"
-                            % (mel.source_id, mel.num_frames, window_frames))
+        raise DataError("track %s: %d frames < window of %d"
+                        % (mel.source_id, mel.num_frames, window_frames))
     z = encode(params, windows)
     mean = z.mean(axis=0)
     norm = np.linalg.norm(mean)

@@ -40,7 +40,6 @@ class TrainConfig:
     momentum: float = 0.0
     embedding_dim: int = 64
     hidden_units: int = 256
-    rng_seed: int = 0
 
     def __post_init__(self):
         require_sizes(self, "total_steps", "embedding_dim", "hidden_units")
@@ -147,11 +146,11 @@ class Mlp:
         gb1 = dpre.sum(axis=0)
         return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
-    def save(self, path, config, **fields):
+    def save(self, path, config, provenance):
         """Write the tensors to directory `path`, with a header.json of the
-        config and then `fields` (tensorio.save_params)."""
+        config and the run's provenance (tensorio.save_params)."""
         tensorio.save_params(os.path.join(path, "header.json"), self.tensors(),
-                             dict({"config": asdict(config)}, **fields))
+                             {"config": asdict(config), "provenance": provenance})
 
     @classmethod
     def load(cls, path, config_type):
@@ -233,10 +232,10 @@ def usable_train_tracks(records, aug_spec: AugmentationSpec):
     return [r for r in records if r.split == "train" and r.duration_s >= minimum]
 
 
-def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
+def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig, *, seed):
     """SGD over NT-Xent on augmented local pairs drawn from `mels`, the
     loaded MelSpectrograms by track id; single-threaded, bit-reproducible
-    for a fixed seed, and free of file I/O.
+    for a fixed `seed`, and free of file I/O.
 
     Returns (params, per-step loss list).
     """
@@ -248,7 +247,6 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig):
         raise DataError("no spectrogram loaded for train track(s) %s"
                         % ", ".join(missing))
 
-    seed = config.rng_seed
     init_rng = derive_rng(seed, "init")
     params = Mlp.init(feature_dim(mels[tracks[0].track_id].num_bands),
                       config.hidden_units, config.embedding_dim, init_rng)

@@ -15,7 +15,3 @@ class DataError(EmbedlocError):
 
 class NumericalError(EmbedlocError):
     """Numerical failure such as divergence (CLI exit code 4)."""
-
-
-class TrackTooShort(DataError):
-    """Skip signal: track cannot supply the requested segment(s)."""

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import derive_rng
+from .corpus import BPM_MAX, BPM_MIN
 from .encoder import Mlp, require_sizes
 from .errors import ConfigError, DataError, NumericalError
 from .locality import TEMPO_OCTAVES
 
-BPM_MIN = 30
-BPM_MAX = 300
 NUM_CLASSES = BPM_MAX - BPM_MIN + 1   # 271
 SMOOTHING_TAPS = 15
 
@@ -26,7 +25,6 @@ class ProbeConfig:
     learning_rate: float = 0.05
     dropout: float = 0.75
     hidden_units: int = 512
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
@@ -52,9 +50,9 @@ def _softmax(logits):
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def train_probe(emb_set, records, config: ProbeConfig):
-    """Crossentropy training of the probe on integer-BPM targets, over the
-    set's train-split tracks (every track when none is in that split)."""
+def train_probe(emb_set, records, config: ProbeConfig, *, seed):
+    """Crossentropy training of the probe on integer-BPM targets, drawn from
+    `seed`, over the set's train-split tracks (all if that split has none)."""
     bpm = {r.track_id: r.bpm for r in records}
     split_of = {r.track_id: r.split for r in records}
     missing = [tid for tid in emb_set.ids if bpm.get(tid) is None]
@@ -69,11 +67,11 @@ def train_probe(emb_set, records, config: ProbeConfig):
     x_all = np.stack([emb_set.vector(tid) for tid in usable])
 
     model = Mlp.init(emb_set.dim, config.hidden_units, NUM_CLASSES,
-                     derive_rng(config.rng_seed, "probe-init"))
+                     derive_rng(seed, "probe-init"))
     keep = 1.0 - config.dropout
     losses = []
     for step in range(config.total_steps):
-        rng = derive_rng(config.rng_seed, "probe-step", step)
+        rng = derive_rng(seed, "probe-step", step)
         picks = rng.integers(0, len(usable), size=config.batch_size)
         x = x_all[picks]
         y = classes[picks]

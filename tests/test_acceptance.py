@@ -284,8 +284,8 @@ def trained_models(small_corpus, mel_config):
         for name, chain in CHAINS.items():
             spec = AugmentationSpec(chain=chain)
             cfg = TrainConfig(batch_pairs=24, total_steps=800,
-                              warmup_steps=40, peak_lr=0.002, rng_seed=seed)
-            params, _ = encoder.train(records, mels, spec, cfg)
+                              warmup_steps=40, peak_lr=0.002)
+            params, _ = encoder.train(records, mels, spec, cfg, seed=seed)
             emb = build_embedding_set(mels.values(), params, window)
             out[(name, seed)] = (params, emb)
     return records, mels, window, out
@@ -378,8 +378,8 @@ def test_criterion_10_probe_contract():
             split="train" if i < 90 else "test"))
     es = EmbeddingSet(ids=ids, matrix=np.stack(rows))
     cfg = probe.ProbeConfig(batch_size=32, total_steps=400,
-                            learning_rate=0.05, rng_seed=0)
-    trained, _ = probe.train_probe(es, records, cfg)
+                            learning_rate=0.05)
+    trained, _ = probe.train_probe(es, records, cfg, seed=0)
     test_ids = [r.track_id for r in records if r.split == "test"]
     bpm = {r.track_id: r.bpm for r in records}
     est = [probe.estimate_tempo(trained, es.vector(t)) for t in test_ids]

@@ -116,11 +116,15 @@ def test_pipeline_end_to_end(tmp_path, capsys):
         (outdir / "probe-TS-s0" / "summary.json").read_text())
     assert 0.0 <= probe_summary["acc1"] <= probe_summary["acc2"] <= 1.0
     assert report["probes"] == {"probe-TS-s0": probe_summary}
-    # both parameter-set headers keep their keys in their order
-    for set_dir, keys in (("checkpoints/TS-s0", ["num_bands", "step", "seed"]),
-                          ("probe-TS-s0", ["bpm_min", "bpm_max"])):
+    # both parameter-set headers hold their tensors, the run config's
+    # section and the run's provenance, and nothing else
+    config = cli.load_config(overrides=base[1::2])
+    for set_dir, section in (("checkpoints/TS-s0", "train"), ("probe-TS-s0", "probe")):
         header = json.loads((outdir / set_dir / "header.json").read_text())
-        assert list(header) == ["tensors", "config"] + keys + ["provenance"]
+        assert list(header) == ["tensors", "config", "provenance"]
+        assert header["config"] == config[section]
+        assert header["provenance"] == report["artifacts"][
+            "retrieval-TS-s0.json"]["provenance"]
 
     # rerunning train is bit-reproducible: same checkpoint tensors
     from embedloc.encoder import Mlp, TrainConfig
@@ -176,10 +180,10 @@ def test_embed_on_truncated_checkpoint_tensor_exits_3(tmp_path, capsys):
                    [TrackRecord("a", "a.emlt", 16.0)])
     ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
     params = Mlp.init(feature_dim(96), 8, 4, np.random.default_rng(0))
-    params.save(str(ckpt), TrainConfig(), num_bands=96, step=0)
+    params.save(str(ckpt), TrainConfig(), {})
     w1 = ckpt / "w1.emlt"
     for cut in (12, len(w1.read_bytes()) - 4):
-        params.save(str(ckpt), TrainConfig(), num_bands=96, step=0)
+        params.save(str(ckpt), TrainConfig(), {})
         w1.write_bytes(w1.read_bytes()[:cut])
         assert cli.main(["embed"] + _out_args(tmp_path)) == 3
         assert "w1.emlt" in capsys.readouterr().err
@@ -298,13 +302,32 @@ def test_int_config_leaf_may_replace_a_float(tmp_path):
                                         ("test_fraction", -0.1),
                                         ("test_fraction", 1.5),
                                         ("duration_s", 0), ("duration_s", -1),
-                                        ("duration_s", 0.00001)])
+                                        ("duration_s", 0.00001),
+                                        # past what a 16-bit mono WAV's u32
+                                        # byte rate and chunk sizes hold
+                                        ("mel.sample_rate_hz", 2147483648),
+                                        ("duration_s", 1e16),
+                                        ("duration_s", 1e305),
+                                        ("duration_s", -1e305)])
 def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value):
     corpus_dir = tmp_path / "corpus"
+    path = leaf if "." in leaf else "corpus." + leaf
     assert cli.main(["synth", "--set", 'paths.corpus_dir="%s"' % corpus_dir,
-                     "--set", "corpus.%s=%s" % (leaf, value)]) == 2
-    assert leaf in capsys.readouterr().err
+                     "--set", "%s=%s" % (path, value)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and leaf in err
     assert not corpus_dir.exists()
+
+
+def test_synth_at_the_wav_limits_passes_the_checks(tmp_path, monkeypatch):
+    # the largest rate and track a WAV holds get as far as synthesis,
+    # which is left out here
+    from embedloc import corpus
+    from embedloc.corpus import WAV_MAX_RATE_HZ, WAV_MAX_SAMPLES
+    monkeypatch.setattr(corpus, "map_tracks", lambda fn, items: [])
+    for rate, duration in ((WAV_MAX_RATE_HZ, 1e-6), (16000, WAV_MAX_SAMPLES / 16000)):
+        assert corpus.generate_synthetic_corpus(
+            tmp_path, 1, duration_s=duration, sample_rate_hz=rate) == []
 
 
 @pytest.mark.parametrize("value", [0, -5])
@@ -359,12 +382,11 @@ def test_removed_metric_keys_are_unknown_config_paths(key):
     assert key not in prov and "config_hash" in prov
 
 
-def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None,
+def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands,
                              track_ids=("a",), frames=1600):
     """A feature set of test-split tracks `track_ids` (by default one),
     each `feature_bands` mel bands by `frames` frames, and a checkpoint
-    whose header says `ckpt_bands` and whose w1 is sized for `w1_bands`
-    (default: the same)."""
+    whose w1 is sized for `ckpt_bands`."""
     from embedloc import tensorio
     from embedloc.corpus import TrackRecord, write_manifest
     from embedloc.encoder import Mlp, TrainConfig, feature_dim
@@ -378,18 +400,19 @@ def _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands, w1_bands=None,
         tensorio.write_tensor(features / (tid + ".emlt"),
                               rng.uniform(-4, 1, size=(feature_bands, frames)))
     ckpt = tmp_path / "out" / "checkpoints" / "none-s0"
-    params = Mlp.init(feature_dim(w1_bands or ckpt_bands), 8, 4, rng)
-    params.save(str(ckpt), TrainConfig(), num_bands=ckpt_bands, step=0)
+    params = Mlp.init(feature_dim(ckpt_bands), 8, 4, rng)
+    params.save(str(ckpt), TrainConfig(), {})
     return ckpt
 
 
 @pytest.mark.parametrize("command", ["embed", "sweep"])
-@pytest.mark.parametrize("ckpt_bands,w1_bands", [(96, 96), (64, 96), (96, 64)])
+@pytest.mark.parametrize("feature_bands,ckpt_bands", [(96, 96), (64, 96), (96, 64)])
 def test_checkpoint_with_other_mel_bands_exits_3(tmp_path, capsys, command,
-                                                 ckpt_bands, w1_bands):
-    # the features match the checkpoint's 96 bands; the config asks for 64
-    bands = 64 if (ckpt_bands, w1_bands) == (96, 96) else 96
-    _features_and_checkpoint(tmp_path, 96, ckpt_bands, w1_bands)
+                                                 feature_bands, ckpt_bands):
+    # the config asks for other bands than the checkpoint's w1 was sized
+    # for, whether the features agree with the checkpoint or the config
+    bands = 64 if ckpt_bands == 96 else 96
+    _features_and_checkpoint(tmp_path, feature_bands, ckpt_bands)
     code = cli.main([command, "--set", "mel.num_bands=%d" % bands]
                     + _out_args(tmp_path))
     err = capsys.readouterr().err
@@ -443,7 +466,7 @@ def _valid_tree(tmp_path):
         tensorio.write_tensor(out / "features" / rec.feature_path,
                               rng.uniform(-4, 1, size=(96, 1600)))
     Mlp.init(feature_dim(96), 8, 4, rng).save(
-        str(out / "checkpoints" / "none-s0"), TrainConfig(), num_bands=96, step=0)
+        str(out / "checkpoints" / "none-s0"), TrainConfig(), {})
     (out / "embeddings").mkdir()
     matrix = rng.standard_normal((3, 4))
     EmbeddingSet(ids=["a", "b", "c"],
@@ -601,6 +624,17 @@ def _second_tensor(header):
     return json.dumps(doc).encode()
 
 
+def _with_seed_fields(header):
+    """A checkpoint header laid out as before the seed had one home:
+    rng_seed in its config, and the band count, step count and seed as
+    keys of their own."""
+    doc = json.loads(header)
+    return json.dumps({"tensors": doc["tensors"],
+                       "config": dict(doc["config"], rng_seed=0),
+                       "num_bands": 96, "step": 2, "seed": 0,
+                       "provenance": doc["provenance"]}).encode()
+
+
 def _first_row(field, value):
     """A corruption of a manifest that sets `field` of its first record
     (a train track) to `value`, written as JSON."""
@@ -695,6 +729,9 @@ CORRUPT_INPUTS = [
     ("embed", FEATURE_MANIFEST, _first_row("feature_path", 5), 3),
     ("sweep", FEATURE_MANIFEST, _first_row("feature_path", 5), 3),
     ("neighborhood", FEATURE_MANIFEST, _first_row("track_id", 5), 3),
+    # a checkpoint written before its header held only tensors, config
+    # and provenance
+    ("embed", CHECKPOINT_HEADER, _with_seed_fields, 3),
 ]
 
 
@@ -756,6 +793,36 @@ def test_removed_seed_keys_are_unknown_config_paths(section, capsys):
     assert "unknown config path '%s.rng_seed'" % section in capsys.readouterr().err
 
 
+def test_augmentation_check_names_the_mel_settings_it_reads(tmp_path, capsys):
+    # the frame check reads mel.hop, so a hop that leaves too few frames
+    # is named with the augmentation settings, and other sections are not
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"augmentation": {"output_seconds": 3.0}}))
+    assert cli.main(["report", "--config", str(path), "--set", "mel.hop=40000",
+                     "--set", "train.peak_lr=0.1"] + _out_args(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "config error: augmentation from %s, --set mel.hop=40000: output_seconds"
+        " 3 is 1 frame(s) at 0.4 frames/s; need at least 2\n" % path)
+
+
+def test_probe_without_labelled_test_tracks_drops_the_former_evaluation(
+        tmp_path, capsys):
+    base = _valid_tree(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["probe"] + base) == 0
+    assert {"eval.csv", "summary.json"} <= {p.name for p in (out / "probe-none-s0").iterdir()}
+    # the one test track becomes a train track, as after a re-synth with
+    # corpus.test_fraction=0
+    manifest = tmp_path / FEATURE_MANIFEST
+    manifest.write_bytes(manifest.read_bytes().replace(b'"split": "test"',
+                                                       b'"split": "train"'))
+    assert cli.main(["probe"] + base) == 0
+    assert sorted(p.name for p in (out / "probe-none-s0").iterdir()) == [
+        "b1.emlt", "b2.emlt", "header.json", "w1.emlt", "w2.emlt"]
+    assert cli.main(["report"] + base) == 0
+    assert json.loads((out / "report.json").read_text())["probes"] == {}
+
+
 @pytest.mark.parametrize("command", ["embed", "sweep"])
 def test_peak_memory_does_not_grow_with_the_track_count(tmp_path, capsys, command):
     trees = []
@@ -786,9 +853,9 @@ def test_train_holds_the_tracks_as_stored_float32(tmp_path, capsys, monkeypatch)
     dtypes = []
     real_train = cli.train
 
-    def spy(records, mels, spec, config):
+    def spy(records, mels, spec, config, *, seed):
         dtypes.extend(mel.values.dtype for mel in mels.values())
-        return real_train(records, mels, spec, config)
+        return real_train(records, mels, spec, config, seed=seed)
 
     monkeypatch.setattr(cli, "train", spy)
     assert cli.main(["train"] + base) == 0, capsys.readouterr().err

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from embedloc import analysis, augment, corpus, encoder, melfront
 from embedloc.augment import AugmentationSpec, derive_rng
-from embedloc.errors import DataError, TrackTooShort
+from embedloc.errors import DataError
 
 
 def test_track_record_validation():
@@ -54,7 +54,7 @@ def test_pair_offsets_minimum_length_boundary():
 
 
 def test_pair_offsets_too_short():
-    with pytest.raises(TrackTooShort):
+    with pytest.raises(DataError, match="duration 13.90 s below minimum 14.00 s"):
         corpus.sample_pair_offsets(13.9, 4.5, np.random.default_rng(2))
 
 
@@ -146,6 +146,10 @@ def test_extract_features_roundtrip(tmp_path, mel_config):
     '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": ["a", 1]}',
     '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": [null]}',
     '{"track_id": "x", "feature_path": "x.wav", "duration_s": 16.0, "tags": "ab"}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": "16"}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": true}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": null}',
+    '{"track_id": "x", "feature_path": "x.wav", "duration_s": [16.0]}',
 ])
 def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
     good = corpus.TrackRecord("a", "a.wav", 16.0)
@@ -155,6 +159,18 @@ def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
         fh.write("\n" + line + "\n")
     with pytest.raises(DataError, match="m.jsonl:3"):
         corpus.read_manifest(path)
+
+
+def test_track_record_checks_its_fields_as_the_manifest_reader_does():
+    for fields in ({"tags": "ab"}, {"tags": ["a", 1]}, {"duration_s": "16"},
+                   {"duration_s": True}):
+        with pytest.raises(DataError, match="track a: (tags|duration_s)"):
+            corpus.TrackRecord(**dict({"track_id": "a", "feature_path": "a.wav",
+                                       "duration_s": 1.0}, **fields))
+    # an int duration is kept as the float the manifest stores
+    assert corpus.TrackRecord("a", "a.wav", 16, tags=["x"]).to_dict() == {
+        "track_id": "a", "feature_path": "a.wav", "duration_s": 16.0, "bpm": None,
+        "key_label": None, "tags": ("x",), "split": "train"}
 
 
 def reference_track(bpm, key_label, timbre, duration_s, rate, rng):
@@ -395,7 +411,8 @@ def test_map_tracks_keeps_order_and_raises_the_first_failure_in_order():
 
 def test_manifest_write_that_fails_partway_leaves_nothing(tmp_path):
     good = corpus.TrackRecord("a", "a.wav", 16.0)
-    bad = corpus.TrackRecord("b", "b.wav", 16.0, tags=(object(),))
+    bad = corpus.TrackRecord("b", "b.wav", 16.0)
+    bad.tags = (object(),)   # after the record's checks, so only json.dumps fails
     path = tmp_path / "manifest.jsonl"
     with pytest.raises(TypeError):
         corpus.write_manifest(path, [good, good, bad, good])
@@ -427,7 +444,7 @@ def test_pair_segments_and_crops_are_read_only_windows_and_train_writes_no_track
     for chain in ((), ("TS", "PS", "EQ")):
         encoder.train(records, mels, AugmentationSpec(chain=chain),
                       encoder.TrainConfig(batch_pairs=4, total_steps=2,
-                                          warmup_steps=1))
+                                          warmup_steps=1), seed=0)
     for tid, mel in mels.items():
         assert mel.values.flags.writeable
         np.testing.assert_array_equal(mel.values, kept[tid])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from embedloc import augment, corpus, embedspace, encoder, locality, melfront
 from embedloc.embedspace import EmbeddingSet
-from embedloc.errors import DataError, TrackTooShort
+from embedloc.errors import DataError
 
 
 def unit_rows(arr):
@@ -68,7 +68,7 @@ def test_embed_track_unit_norm_and_short_error():
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
     short = melfront.MelSpectrogram(values=values[:, :200], config=cfg,
                                     source_id="s")
-    with pytest.raises(TrackTooShort):
+    with pytest.raises(DataError, match="track s: 200 frames < window of 300"):
         embedspace.embed_track(short, params, 300)
 
 

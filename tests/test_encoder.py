@@ -212,11 +212,10 @@ def test_pool_features_allocates_no_batch_sized_temporary():
     assert peak / 1e6 < 8.0 < batch_mb
 
 
-def reference_train(records, spec, config, mel_config, mel_cache):
+def reference_train(records, spec, config, seed, mel_config, mel_cache):
     """The training loop written plainly: views collected in a list,
     np.stack'ed, and pooled by the reference above."""
     tracks = encoder.usable_train_tracks(records, spec)
-    seed = config.rng_seed
     params = Mlp.init(feature_dim(mel_config.num_bands), config.hidden_units,
                       config.embedding_dim, derive_rng(seed, "init"))
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
@@ -262,9 +261,9 @@ def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, ch
     records, mels = random_tracks
     spec = AugmentationSpec(chain=chain)
     cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
-                      peak_lr=0.1, momentum=0.5, rng_seed=9)
-    params, losses = encoder.train(records, mels, spec, cfg)
-    ref_params, ref_losses = reference_train(records, spec, cfg, mel_config, mels)
+                      peak_lr=0.1, momentum=0.5)
+    params, losses = encoder.train(records, mels, spec, cfg, seed=9)
+    ref_params, ref_losses = reference_train(records, spec, cfg, 9, mel_config, mels)
     assert losses == ref_losses
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
@@ -292,9 +291,9 @@ def test_float32_stored_tracks_give_the_float64_bits(random_tracks, mel_config,
         assert stored[tid].values.dtype == np.float32
     spec = AugmentationSpec(chain=chain)
     cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
-                      peak_lr=0.1, momentum=0.5, rng_seed=9)
-    params, losses = encoder.train(records, stored, spec, cfg)
-    ref_params, ref_losses = encoder.train(records, held, spec, cfg)
+                      peak_lr=0.1, momentum=0.5)
+    params, losses = encoder.train(records, stored, spec, cfg, seed=9)
+    ref_params, ref_losses = encoder.train(records, held, spec, cfg, seed=9)
     assert losses == ref_losses
     for name, tensor in params.tensors().items():
         assert tensor.dtype == np.float64
@@ -322,11 +321,10 @@ mels = {r.track_id: melfront.MelSpectrogram(
     rng.uniform(-4, 1, size=(mel_config.num_bands, 1600)), mel_config,
     r.track_id) for r in records}
 config = encoder.TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
-                             peak_lr=0.1, momentum=0.5, rng_seed=9)
+                             peak_lr=0.1, momentum=0.5)
 params, losses = encoder.train(records, mels,
-                               AugmentationSpec(("TS", "PS", "EQ")), config)
-params.save(sys.argv[1], config, num_bands=mel_config.num_bands,
-            step=config.total_steps, seed=config.rng_seed)
+                               AugmentationSpec(("TS", "PS", "EQ")), config, seed=9)
+params.save(sys.argv[1], config, {"seed": 9})
 # the float64 state, which the float32 checkpoint tensors round away
 print(repr(losses), [t.tobytes().hex() for t in params.tensors().values()])
 """
@@ -392,7 +390,8 @@ ids = ["t%03d" % i for i in range(200)]
 records = [corpus.TrackRecord(t, t + ".emlt", 20.0, bpm=float(rng.integers(60, 200)))
            for t in ids]
 emb = EmbeddingSet(ids=ids, matrix=matrix / np.linalg.norm(matrix, axis=1, keepdims=True))
-model, losses = probe.train_probe(emb, records, probe.ProbeConfig(total_steps=300))
+model, losses = probe.train_probe(emb, records, probe.ProbeConfig(total_steps=300),
+                                  seed=0)
 print(repr(losses), [hashlib.sha256(t.tobytes()).hexdigest()
                      for t in model.tensors().values()])
 """
@@ -417,11 +416,11 @@ def test_train_opens_no_file_and_names_a_missing_track(random_tracks,
     monkeypatch.setattr(tensorio, "read_tensor", no_io)
     spec = AugmentationSpec(chain=())
     cfg = TrainConfig(batch_pairs=2, total_steps=2, warmup_steps=1)
-    _, losses = encoder.train(records, mels, spec, cfg)
+    _, losses = encoder.train(records, mels, spec, cfg, seed=0)
     assert len(losses) == 2
     partial = {tid: mel for tid, mel in mels.items() if tid != "r3"}
     with pytest.raises(DataError, match="r3"):
-        encoder.train(records, partial, spec, cfg)
+        encoder.train(records, partial, spec, cfg, seed=0)
 
 
 def test_train_keeps_no_batch_array_and_caches_only_pooled_features(
@@ -444,7 +443,7 @@ def test_train_keeps_no_batch_array_and_caches_only_pooled_features(
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            encoder.train(records, mels, spec, cfg)
+            encoder.train(records, mels, spec, cfg, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -499,8 +498,8 @@ def tiny_training(small_corpus, mel_config):
     records, mels = small_corpus
     spec = AugmentationSpec(chain=())
     cfg = TrainConfig(batch_pairs=8, total_steps=40, warmup_steps=4,
-                      peak_lr=0.003, rng_seed=5)
-    params, losses = encoder.train(records, mels, spec, cfg)
+                      peak_lr=0.003)
+    params, losses = encoder.train(records, mels, spec, cfg, seed=5)
     return records, mels, spec, cfg, params, losses
 
 
@@ -512,7 +511,7 @@ def test_train_loss_decreases(tiny_training):
 
 def test_train_is_deterministic(small_corpus, mel_config, tiny_training):
     records, mels, spec, cfg, params, losses = tiny_training
-    params2, losses2 = encoder.train(records, mels, spec, cfg)
+    params2, losses2 = encoder.train(records, mels, spec, cfg, seed=5)
     assert losses == losses2
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
@@ -522,15 +521,15 @@ def test_train_rejects_empty_track_list(mel_config):
     with pytest.raises(DataError):
         encoder.train([], {}, AugmentationSpec(chain=()),
                       TrainConfig(batch_pairs=4, total_steps=4,
-                                  warmup_steps=1))
+                                  warmup_steps=1), seed=0)
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny_training):
     _, _, _, cfg, params, _ = tiny_training
     path = str(tmp_path / "ckpt")
-    params.save(path, cfg, num_bands=96, step=40, seed=cfg.rng_seed, chain="none")
+    params.save(path, cfg, {"chain": "none"})
     back, back_cfg, header = Mlp.load(path, TrainConfig)
-    assert header["chain"] == "none" and header["step"] == 40
+    assert header["provenance"] == {"chain": "none"}
     assert back_cfg == cfg
     for name, tensor in params.tensors().items():
         np.testing.assert_allclose(back.tensors()[name], tensor, atol=1e-6)
@@ -540,7 +539,7 @@ def test_checkpoint_directory_layout(tmp_path):
     params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
     path = tmp_path / "ckpt"
-    params.save(str(path), cfg, num_bands=4, step=4, seed=cfg.rng_seed, x=1)
+    params.save(str(path), cfg, {"x": 1})
     # each digest is of the file's float32 values, after its dims
     tensors = {name: {"file": name + ".emlt", "dims": list(t.shape),
                       "sha256": hashlib.sha256((path / (name + ".emlt")).read_bytes()
@@ -548,9 +547,8 @@ def test_checkpoint_directory_layout(tmp_path):
                for name, t in params.tensors().items()}
     config = {"batch_pairs": 4, "total_steps": 4, "warmup_steps": 1,
               "peak_lr": 0.001, "temperature": 0.1, "momentum": 0.0,
-              "embedding_dim": 64, "hidden_units": 256, "rng_seed": 0}
-    want = {"tensors": tensors, "config": config, "num_bands": 4,
-            "step": 4, "seed": 0, "x": 1}
+              "embedding_dim": 64, "hidden_units": 256}
+    want = {"tensors": tensors, "config": config, "provenance": {"x": 1}}
     assert (path / "header.json").read_text() == json.dumps(want, indent=2)
     assert sorted(p.name for p in path.iterdir()) == [
         "b1.emlt", "b2.emlt", "header.json", "w1.emlt", "w2.emlt"]
@@ -565,7 +563,7 @@ def test_checkpoint_directory_layout(tmp_path):
 def test_load_checkpoint_with_a_bad_header_raises_data_error(tmp_path, header):
     params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
-    params.save(str(tmp_path), cfg, num_bands=4, step=4, seed=cfg.rng_seed)
+    params.save(str(tmp_path), cfg, {})
     (tmp_path / "header.json").write_text(header)
     with pytest.raises(DataError, match="header.json"):
         Mlp.load(str(tmp_path), TrainConfig)
@@ -574,7 +572,7 @@ def test_load_checkpoint_with_a_bad_header_raises_data_error(tmp_path, header):
 def test_load_checkpoint_with_unknown_tensor_names_raises_data_error(tmp_path):
     params = Mlp.init(feature_dim(4), 3, 2, np.random.default_rng(0))
     cfg = TrainConfig(batch_pairs=4, total_steps=4, warmup_steps=1)
-    params.save(str(tmp_path), cfg, num_bands=4, step=4, seed=cfg.rng_seed)
+    params.save(str(tmp_path), cfg, {})
     header = json.loads((tmp_path / "header.json").read_text())
     header["tensors"]["w3"] = header["tensors"].pop("w2")
     (tmp_path / "header.json").write_text(json.dumps(header))

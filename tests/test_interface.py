@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -55,6 +56,8 @@ REMOVED = [
     (augment.butterworth_magnitude, "order"),
     (augment.EqParams, "order"),
     (augment.AugmentationSpec, "rng_seed"),
+    (encoder.TrainConfig, "rng_seed"),
+    (probe.ProbeConfig, "rng_seed"),
     (encoder.train, "mel_config"),
     (encoder.train, "base_dir"),
     (encoder.train, "mel_cache"),
@@ -72,6 +75,19 @@ def test_removed_parameter_is_gone(fn, name):
 def test_apply_chain_needs_an_rng():
     rng = inspect.signature(augment.apply_chain).parameters["rng"]
     assert rng.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("fn", [encoder.train, probe.train_probe])
+def test_training_needs_the_runs_seed_by_keyword(fn):
+    seed = inspect.signature(fn).parameters["seed"]
+    assert seed.kind is inspect.Parameter.KEYWORD_ONLY
+    assert seed.default is inspect.Parameter.empty
+
+
+def test_config_sections_are_the_training_configs_fields():
+    from embedloc import cli
+    assert cli.DEFAULT_CONFIG["train"] == asdict(encoder.TrainConfig())
+    assert cli.DEFAULT_CONFIG["probe"] == asdict(probe.ProbeConfig())
 
 
 # ---------------------------------------------------------------------------

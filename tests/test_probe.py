@@ -16,8 +16,8 @@ def unit_rows(arr):
 
 
 def test_class_grid_constants():
-    assert probe.BPM_MIN == 30
-    assert probe.BPM_MAX == 300
+    # one labelled tempo range, which the probe takes from the corpus
+    assert (probe.BPM_MIN, probe.BPM_MAX) == (corpus.BPM_MIN, corpus.BPM_MAX) == (30, 300)
     assert probe.NUM_CLASSES == 271
     assert probe.SMOOTHING_TAPS == 15
 
@@ -135,9 +135,8 @@ def make_separable_problem(rng, n=120, dim=16, bpms=(80.0, 140.0)):
 def test_train_probe_learns_separable_tempi():
     rng = np.random.default_rng(4)
     es, records = make_separable_problem(rng)
-    cfg = ProbeConfig(batch_size=32, total_steps=400, learning_rate=0.05,
-                      rng_seed=1)
-    model, losses = probe.train_probe(es, records, cfg)
+    cfg = ProbeConfig(batch_size=32, total_steps=400, learning_rate=0.05)
+    model, losses = probe.train_probe(es, records, cfg, seed=1)
     assert losses[-1] < losses[0]
     bpm = {r.track_id: r.bpm for r in records}
     test_ids = [r.track_id for r in records if r.split == "test"]
@@ -150,9 +149,9 @@ def test_train_probe_learns_separable_tempi():
 def test_train_probe_is_deterministic():
     rng = np.random.default_rng(5)
     es, records = make_separable_problem(rng, n=40)
-    cfg = ProbeConfig(batch_size=16, total_steps=30, rng_seed=2)
-    a, la = probe.train_probe(es, records, cfg)
-    b, lb = probe.train_probe(es, records, cfg)
+    cfg = ProbeConfig(batch_size=16, total_steps=30)
+    a, la = probe.train_probe(es, records, cfg, seed=2)
+    b, lb = probe.train_probe(es, records, cfg, seed=2)
     assert la == lb
     for name, tensor in a.tensors().items():
         np.testing.assert_array_equal(tensor, b.tensors()[name])
@@ -164,7 +163,7 @@ def test_train_probe_reports_missing_labels():
     records[3] = corpus.TrackRecord(records[3].track_id,
                                     records[3].feature_path, 20.0, bpm=None)
     with pytest.raises(DataError, match=records[3].track_id):
-        probe.train_probe(es, records, ProbeConfig(total_steps=5))
+        probe.train_probe(es, records, ProbeConfig(total_steps=5), seed=0)
 
 
 def test_probe_persistence(tmp_path):
@@ -172,12 +171,11 @@ def test_probe_persistence(tmp_path):
     model = Mlp.init(8, 16, probe.NUM_CLASSES, rng)
     cfg = ProbeConfig(total_steps=10)
     path = str(tmp_path / "probe")
-    model.save(path, cfg, bpm_min=probe.BPM_MIN, bpm_max=probe.BPM_MAX,
-               embedding="none-s0")
+    model.save(path, cfg, {"embedding": "none-s0"})
     back, back_cfg, header = Mlp.load(path, ProbeConfig)
     assert back_cfg == cfg
-    assert header["embedding"] == "none-s0"
-    assert header["bpm_min"] == 30 and header["bpm_max"] == 300
+    assert list(header) == ["tensors", "config", "provenance"]
+    assert header["provenance"] == {"embedding": "none-s0"}
     for name, tensor in model.tensors().items():
         np.testing.assert_allclose(back.tensors()[name], tensor, atol=1e-6)
 
@@ -188,13 +186,14 @@ def test_probe_step_gradient_matches_finite_differences_with_dropout():
     # dropout mask, numerically
     es, records = make_separable_problem(np.random.default_rng(8), n=24, dim=4)
     cfg = ProbeConfig(batch_size=6, total_steps=1, learning_rate=0.05,
-                      dropout=0.75, hidden_units=8, rng_seed=3)
-    before, _ = probe.train_probe(es, records, replace(cfg, learning_rate=0.0))
-    after, _ = probe.train_probe(es, records, cfg)
+                      dropout=0.75, hidden_units=8)
+    before, _ = probe.train_probe(es, records, replace(cfg, learning_rate=0.0),
+                                  seed=3)
+    after, _ = probe.train_probe(es, records, cfg, seed=3)
     # the step's batch and mask, drawn as train_probe draws them
     bpm = {r.track_id: r.bpm for r in records}
     usable = [r.track_id for r in records if r.split == "train"]
-    rng = derive_rng(cfg.rng_seed, "probe-step", 0)
+    rng = derive_rng(3, "probe-step", 0)
     picks = rng.integers(0, len(usable), size=cfg.batch_size)
     keep = 1.0 - cfg.dropout
     mask = (rng.uniform(size=(cfg.batch_size, cfg.hidden_units)) < keep) / keep
