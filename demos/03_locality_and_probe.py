@@ -56,4 +56,4 @@ est = [probe.estimate_tempo(model, embeddings["none"][1].vector(r.track_id))
        for r in test]
 tru = [r.bpm for r in test]
 print("tempo probe on the baseline embedding: acc1 %.2f, acc2 %.2f"
-      % (probe.acc1(est, tru), probe.acc2(est, tru)))
+      % (np.mean(probe.acc1_hits(est, tru)), np.mean(probe.acc2_hits(est, tru))))

@@ -12,4 +12,4 @@ from .encoder import TrainConfig, lr_at, ntxent_loss, train
 from .embedspace import EmbeddingSet, embed_track, knn
 from .locality import (key_precision, manipulation_sweep, tag_precision,
                        tag_retrieval, tempo_rmms)
-from .probe import ProbeConfig, acc1, acc2, estimate_tempo, train_probe
+from .probe import ProbeConfig, acc1_hits, acc2_hits, estimate_tempo, train_probe

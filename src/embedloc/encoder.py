@@ -30,6 +30,15 @@ def require_sizes(config, *names):
                               % (name, getattr(config, name)))
 
 
+def require_positive(config, *names):
+    """Raise ConfigError unless each of the fields `names` of `config` is
+    above 0 (so not NaN)."""
+    for name in names:
+        if not getattr(config, name) > 0:
+            raise ConfigError("%s must be positive, got %r"
+                              % (name, getattr(config, name)))
+
+
 @dataclass
 class TrainConfig:
     batch_pairs: int = 64
@@ -43,10 +52,9 @@ class TrainConfig:
 
     def __post_init__(self):
         require_sizes(self, "total_steps", "embedding_dim", "hidden_units")
+        require_positive(self, "peak_lr", "temperature")
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be in [0, total_steps)")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
         if self.batch_pairs < 2:
             raise ConfigError("need at least 2 pairs per batch")
         if not (0.0 <= self.momentum < 1.0):
@@ -135,16 +143,20 @@ class Mlp:
     def tensors(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def backward(self, x, h, dout, dh_dpre):
+    def backward(self, x, h, dout, dh_dpre, grads):
         """Gradients of a scalar loss w.r.t. the four tensors, given the
         input x, the hidden activations h, dL/d(output), and dh/d(hidden
-        pre-activation) including any dropout scale applied to h."""
-        gw2 = dout.T @ h
-        gb2 = dout.sum(axis=0)
-        dpre = (dout @ self.w2) * dh_dpre
-        gw1 = dpre.T @ x
-        gb1 = dpre.sum(axis=0)
-        return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+        pre-activation) including any dropout scale applied to h. They
+        are written into `grads`, arrays shaped like tensors() by name
+        that the caller owns, which are returned. h is spent: it is
+        overwritten with dL/d(hidden pre-activation)."""
+        np.matmul(dout.T, h, out=grads["w2"])
+        dout.sum(axis=0, out=grads["b2"])
+        dpre = np.matmul(dout, self.w2, out=h)
+        dpre *= dh_dpre
+        np.matmul(dpre.T, x, out=grads["w1"])
+        dpre.sum(axis=0, out=grads["b1"])
+        return grads
 
     def save(self, path, config, provenance):
         """Write the tensors to directory `path`, with a header.json of the
@@ -181,12 +193,13 @@ def encode(params: Mlp, views, return_cache=False):
     return z
 
 
-def encode_backward(params: Mlp, cache, dz):
-    """Gradients of a scalar loss w.r.t. encoder parameters, given dL/dz."""
+def encode_backward(params: Mlp, cache, dz, grads):
+    """Gradients of a scalar loss w.r.t. encoder parameters, given dL/dz,
+    written into `grads` as Mlp.backward writes them; spends the cache."""
     pooled, h, e, norms = cache
     z = e / norms
     de = (dz - z * np.sum(dz * z, axis=1, keepdims=True)) / norms
-    return params.backward(pooled, h, de, 1.0 - h * h)
+    return params.backward(pooled, h, de, 1.0 - h * h, grads)
 
 
 def ntxent_loss(embeddings, temperature):
@@ -251,6 +264,7 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig, *, see
     params = Mlp.init(feature_dim(mels[tracks[0].track_id].num_bands),
                       config.hidden_units, config.embedding_dim, init_rng)
     velocity = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+    grads = {k: np.empty_like(v) for k, v in params.tensors().items()}
 
     def step_views(step):
         """The step's views in batch order, view vi of pair i at row
@@ -272,10 +286,13 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig, *, see
         loss, dz = ntxent_loss(z, config.temperature)
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss at step %d" % step)
-        grads = encode_backward(params, cache, dz)
+        encode_backward(params, cache, dz, grads)
         lr = lr_at(step, config)
-        for name, grad in grads.items():
-            velocity[name] = config.momentum * velocity[name] - lr * grad
-            getattr(params, name)[...] += velocity[name]
+        for name, tensor in params.tensors().items():
+            # velocity = momentum * velocity - lr * grad, in place
+            velocity[name] *= config.momentum
+            grads[name] *= lr
+            velocity[name] -= grads[name]
+            tensor += velocity[name]
         losses.append(float(loss))
     return params, losses

@@ -8,7 +8,7 @@ import numpy as np
 
 from .augment import derive_rng
 from .corpus import BPM_MAX, BPM_MIN
-from .encoder import Mlp, require_sizes
+from .encoder import Mlp, require_positive, require_sizes
 from .errors import ConfigError, DataError, NumericalError
 from .locality import TEMPO_OCTAVES
 
@@ -30,29 +30,48 @@ class ProbeConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must be in [0, 1)")
         require_sizes(self, "batch_size", "total_steps", "hidden_units")
+        require_positive(self, "learning_rate")
 
 
-def probe_scores(model: Mlp, embeddings, dropout_mask=None):
-    """Class scores (logits); dropout_mask applies only during training.
-    The output layer runs as (w2 @ h.T).T: at the default 64 x 512 by
-    512 x 271 shape, h @ w2.T rounds differently under 1 and 2 OpenBLAS
-    threads."""
+def probe_scores(model: Mlp, embeddings, dropout_mask=None, out=None):
+    """Hidden activations h (B, H) and class scores (logits, (B, K)) of
+    the B rows of `embeddings`; dropout_mask applies only during training.
+    They are written into `out`, an (h, product) pair of (B, H) and
+    (K, B) float64 arrays, allocated when None. The logits are the
+    F-ordered transpose of the output layer's product w2 @ h.T: at the
+    default 64 x 512 by 512 x 271 shape, h @ w2.T rounds differently under
+    1 and 2 OpenBLAS threads, and the softmax sums run in the logits'
+    memory order."""
     x = np.atleast_2d(np.asarray(embeddings, dtype=float))
-    h = np.maximum(0.0, x @ model.w1.T + model.b1)
+    if out is None:
+        out = (np.empty((len(x), model.w1.shape[0])),
+               np.empty((model.w2.shape[0], len(x))))
+    h, product = out
+    np.matmul(x, model.w1.T, out=h)
+    h += model.b1
+    np.maximum(0.0, h, out=h)
     if dropout_mask is not None:
-        h = h * dropout_mask
-    return h, (model.w2 @ h.T).T + model.b2
+        h *= dropout_mask
+    logits = np.matmul(model.w2, h.T, out=product).T
+    logits += model.b2
+    return h, logits
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+def _softmax_in_place(logits):
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def train_probe(emb_set, records, config: ProbeConfig, *, seed):
     """Crossentropy training of the probe on integer-BPM targets, drawn from
-    `seed`, over the set's train-split tracks (all if that split has none)."""
+    `seed`, over the set's train-split tracks (all if that split has none).
+
+    Every step-sized array (the batch, the dropout draw that becomes the
+    mask and then dh/dpre, the hidden activations, the output-layer
+    product and the gradients) lives in one workspace allocated before
+    the first step, so a step allocates only batch-length index vectors."""
     bpm = {r.track_id: r.bpm for r in records}
     split_of = {r.track_id: r.split for r in records}
     missing = [tid for tid in emb_set.ids if bpm.get(tid) is None]
@@ -69,24 +88,36 @@ def train_probe(emb_set, records, config: ProbeConfig, *, seed):
     model = Mlp.init(emb_set.dim, config.hidden_units, NUM_CLASSES,
                      derive_rng(seed, "probe-init"))
     keep = 1.0 - config.dropout
+    batch, hidden = config.batch_size, config.hidden_units
+    x = np.empty((batch, emb_set.dim))
+    mask = np.empty((batch, hidden))
+    alive = np.empty((batch, hidden), dtype=bool)
+    forward = (np.empty((batch, hidden)), np.empty((NUM_CLASSES, batch)))
+    grads = {name: np.empty_like(t) for name, t in model.tensors().items()}
+    rows = np.arange(batch)
     losses = []
     for step in range(config.total_steps):
         rng = derive_rng(seed, "probe-step", step)
-        picks = rng.integers(0, len(usable), size=config.batch_size)
-        x = x_all[picks]
+        picks = rng.integers(0, len(usable), size=batch)
+        # picks are in range; mode="raise" would copy through a buffer
+        np.take(x_all, picks, axis=0, out=x, mode="clip")
         y = classes[picks]
-        mask = (rng.uniform(size=(len(picks), config.hidden_units)) < keep) / keep
-        h, logits = probe_scores(model, x, dropout_mask=mask)
-        probs = _softmax(logits)
-        loss = -np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)))
+        rng.random(out=mask)   # the bits of rng.uniform(size=mask.shape)
+        np.less(mask, keep, out=alive)
+        np.divide(alive, keep, out=mask)
+        h, logits = probe_scores(model, x, dropout_mask=mask, out=forward)
+        probs = _softmax_in_place(logits)
+        loss = -np.mean(np.log(np.maximum(probs[rows, y], 1e-300)))
         if not np.isfinite(loss):
             raise NumericalError("probe loss non-finite at step %d" % step)
         dlogits = probs
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits /= len(y)
-        grads = model.backward(x, h, dlogits, mask * (h > 0))
-        for name, grad in grads.items():
-            getattr(model, name)[...] -= config.learning_rate * grad
+        dlogits[rows, y] -= 1.0
+        dlogits /= batch
+        mask *= np.greater(h, 0.0, out=alive)   # dh/dpre
+        model.backward(x, h, dlogits, mask, grads)
+        for name, tensor in model.tensors().items():   # w -= lr * g
+            grads[name] *= config.learning_rate
+            tensor -= grads[name]
         losses.append(float(loss))
     return model, losses
 
@@ -121,16 +152,6 @@ def acc2_hits(estimates, truths):
         ref = tru * o
         hits |= np.abs(est - ref) / ref <= ACC_TOLERANCE
     return hits
-
-
-def acc1(estimates, truths):
-    """Fraction of estimates within +/- ACC_TOLERANCE of the true tempo."""
-    return float(np.mean(acc1_hits(estimates, truths)))
-
-
-def acc2(estimates, truths):
-    """Like acc1 but against any tempo-octave multiple of the truth."""
-    return float(np.mean(acc2_hits(estimates, truths)))
 
 
 def _check_aligned(estimates, truths):

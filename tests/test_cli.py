@@ -732,6 +732,9 @@ CORRUPT_INPUTS = [
     # a checkpoint written before its header held only tensors, config
     # and provenance
     ("embed", CHECKPOINT_HEADER, _with_seed_fields, 3),
+    # learning rates that are not above 0
+    ("probe", "c.json", lambda b: b'{"probe": {"learning_rate": -1}}', 2),
+    ("train", "c.json", lambda b: b'{"train": {"peak_lr": 0}}', 2),
 ]
 
 
@@ -785,6 +788,22 @@ def test_size_below_one_exits_2_at_every_command(tmp_path, capsys, key, value,
     assert err.startswith("config error:") and "Traceback" not in err
     assert "--set %s=%d" % (key, value) in err
     assert "%s must be at least 1" % key.split(".")[1] in err
+
+
+@pytest.mark.parametrize("key", ["probe.learning_rate", "train.peak_lr"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_learning_rate_not_above_zero_exits_2_writing_nothing(tmp_path, capsys,
+                                                               key, value, command):
+    # a negative rate used to train by gradient ascent and exit 0
+    base = _valid_tree(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert cli.main([command, "--set", "%s=%s" % (key, value)] + base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "--set %s=%s" % (key, value) in err
+    assert "%s must be positive" % key.split(".")[1] in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("section", ["train", "probe", "augmentation"])

@@ -106,7 +106,8 @@ def test_encode_backward_matches_finite_differences():
         return float(np.sum(encoder.encode(p, batch) * dz))
 
     z, cache = encoder.encode(params, batch, return_cache=True)
-    grads = encoder.encode_backward(params, cache, dz)
+    grads = encoder.encode_backward(params, cache, dz, {
+        name: np.empty_like(t) for name, t in params.tensors().items()})
     eps = 1e-6
     for name in ("w1", "b1", "w2", "b2"):
         tensor = getattr(params, name)
@@ -236,7 +237,8 @@ def reference_train(records, spec, config, seed, mel_config, mel_cache):
         e = h @ params.w2.T + params.b2
         norms = np.linalg.norm(e, axis=1, keepdims=True)
         loss, dz = encoder.ntxent_loss(e / norms, config.temperature)
-        grads = encoder.encode_backward(params, (pooled, h, e, norms), dz)
+        grads = encoder.encode_backward(params, (pooled, h, e, norms), dz, {
+            name: np.empty_like(t) for name, t in params.tensors().items()})
         lr = encoder.lr_at(step, config)
         for name, grad in grads.items():
             velocity[name] = config.momentum * velocity[name] - lr * grad
@@ -481,6 +483,13 @@ def test_train_config_validation():
         TrainConfig(batch_pairs=1)
     with pytest.raises(ConfigError, match="warmup_steps"):
         TrainConfig(total_steps=10, warmup_steps=-1)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1e-3, float("nan")])
+def test_train_config_rejects_a_peak_lr_not_above_zero(value):
+    # a negative rate would train by gradient ascent
+    with pytest.raises(ConfigError, match="peak_lr must be positive"):
+        TrainConfig(peak_lr=value)
 
 
 @pytest.mark.parametrize("value", [0, -3])

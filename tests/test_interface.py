@@ -45,9 +45,6 @@ REMOVED = [
     (corpus.generate_synthetic_corpus, "rng"),
     (corpus.sample_pair_offsets, "max_separation_s"),
     (probe.train_probe, "split"),
-    (probe.acc1, "tolerance"),
-    (probe.acc2, "tolerance"),
-    (probe.acc2, "octaves"),
     (probe.acc1_hits, "tolerance"),
     (probe.acc2_hits, "tolerance"),
     (probe.acc2_hits, "octaves"),
