@@ -66,43 +66,77 @@ class TrainConfig:
 ENVELOPE_LAGS = np.round(np.geomspace(8, 128, 24)).astype(int)
 
 
-def _view_summaries(view):
-    """Per-band time mean, per-band mean |frame difference| and the
-    band-mean envelope of one (U, M) patch. Each is reduced in the
-    patch's own memory layout (np.diff allocates its temporary laid out
-    like the patch), so the sums run in the same order as over the
-    patch's row of np.stack'ed views."""
-    x = np.asarray(view, dtype=float)
-    diff = np.diff(x, axis=1)
-    np.abs(diff, out=diff)
-    return x.mean(axis=1), diff.mean(axis=1), x.mean(axis=0)
+def _summed_views(views):
+    """Per (U, M) patch of `views`, one at a time: its per-band sums,
+    per-band sums of |frame difference| and per-frame sums, each an
+    np.add.reduce (np.mean's sum). A float64 patch is summed where it
+    lies; any other is copied into a float64 patch buffer first. That
+    buffer and the difference buffer are allocated once per call, laid
+    out as np.asarray and np.diff lay out theirs (numpy's order='K'), so
+    every sum runs in the order it runs over the np.stack'ed views."""
+    shape = layout = None
+    for view in views:
+        view = np.asarray(view)
+        if shape is None:
+            shape = view.shape
+        elif view.shape != shape:
+            raise ValueError("views of unequal shape %s and %s"
+                             % (shape, view.shape))
+        order = "F" if abs(view.strides[0]) < abs(view.strides[1]) else "C"
+        if order != layout:
+            layout, patch = order, None
+            diff = np.empty((shape[0], shape[1] - 1), order=order)
+        if view.dtype != np.float64:
+            if patch is None:
+                patch = np.empty(shape, order=order)
+            np.copyto(patch, view)
+            view = patch
+        np.subtract(view[:, 1:], view[:, :-1], out=diff)
+        np.abs(diff, out=diff)
+        yield (np.add.reduce(view, axis=1), np.add.reduce(diff, axis=1),
+               np.add.reduce(view, axis=0))
+
+
+def _envelope_autocorrelation(env):
+    """Normalized autocorrelation of each (B, M) envelope row, centred in
+    place, at ENVELOPE_LAGS (zero at lags of M frames or more); the
+    lagged products go through one buffer."""
+    m = env.shape[1]
+    env -= env.mean(axis=1, keepdims=True)
+    prod = np.multiply(env, env)
+    power = np.maximum(np.sum(prod, axis=1), 1e-12)
+    ac = np.zeros((env.shape[0], len(ENVELOPE_LAGS)))
+    for j, lag in enumerate(ENVELOPE_LAGS[ENVELOPE_LAGS < m]):
+        np.multiply(env[:, lag:], env[:, :m - lag], out=prod[:, lag:])
+        ac[:, j] = np.sum(prod[:, lag:], axis=1) / power
+    return ac
 
 
 def pool_features(views):
     """Fixed temporal pooling of B (U, M) patches to (B, 2U + L).
 
     `views` is any iterable of patches (a list, a generator, or a
-    (B, U, M) array), or one (U, M) patch. Patches are pooled one at a
-    time where they lie, so no batch-sized array is built, and a patch
-    may be freed once it is summarized.
+    (B, U, M) array), or one (U, M) patch; patches of unequal shape
+    raise ValueError. Patches are pooled one at a time through one
+    per-call workspace (_summed_views), so no batch-sized array is
+    built, and a patch may be freed once it is summarized.
 
     Concatenates the per-band time average, the per-band mean absolute
     frame-to-frame difference (scales with stretch factor), and the
     normalized autocorrelation of the band-averaged envelope at
     log-spaced lags (shifts along log-lag under stretch); the
-    autocorrelation runs once over the stacked (B, M) envelopes.
+    autocorrelation runs once over the stacked (B, M) envelopes. Each
+    mean is its stacked sums divided once, as np.mean divides.
     """
     if isinstance(views, np.ndarray) and views.ndim == 2:
         views = (views,)
     mean, diff, env = (np.stack(parts)
-                       for parts in zip(*map(_view_summaries, views)))
-    env = env - env.mean(axis=1, keepdims=True)
-    m = env.shape[1]
-    power = np.maximum(np.sum(env * env, axis=1), 1e-12)
-    lags = ENVELOPE_LAGS[ENVELOPE_LAGS < m]
-    ac = np.zeros((env.shape[0], len(ENVELOPE_LAGS)))
-    for j, lag in enumerate(lags):
-        ac[:, j] = np.sum(env[:, lag:] * env[:, :m - lag], axis=1) / power
+                       for parts in zip(*_summed_views(views)))
+    u, m = mean.shape[1], env.shape[1]
+    mean /= m
+    diff /= m - 1
+    env /= u
+    ac = _envelope_autocorrelation(env)
     # bring the three groups to comparable per-dimension magnitude
     return np.concatenate([mean, 16.0 * diff, 24.0 * ac], axis=1)
 
@@ -277,8 +311,10 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig, *, see
             pair = sample_pair(rec, mels[rec.track_id], aug_spec,
                                derive_rng(seed, "pair", step, i))
             for vi, seg in enumerate((pair.anchor, pair.positive)):
-                yield apply_chain(seg, aug_spec,
-                                  rng=derive_rng(seed, "augment", step, i, vi)).values
+                # an empty chain reads no rng, so none is derived for it
+                rng = (derive_rng(seed, "augment", step, i, vi)
+                       if aug_spec.chain else None)
+                yield apply_chain(seg, aug_spec, rng=rng).values
 
     losses = []
     for step in range(config.total_steps):

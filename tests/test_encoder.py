@@ -213,6 +213,48 @@ def test_pool_features_allocates_no_batch_sized_temporary():
     assert peak / 1e6 < 8.0 < batch_mb
 
 
+def test_pool_features_peak_memory_is_one_workspace_and_the_sums():
+    # a call allocates one difference buffer, and one float64 patch buffer
+    # only for views that are not float64 (the float32 windows of stored
+    # tracks); a float64 view is never copied. Beside them it keeps each
+    # view's sums, then their stacks. The slack covers numpy's iteration
+    # buffers (128 KiB in np.subtract) and the per-view arrays' headers.
+    b, u, m = 128, 96, 300
+    rng = np.random.default_rng(7)
+    track = rng.uniform(-4, 1, size=(u, 10 * m)).astype(np.float32)
+    windows = [track[:, s:s + m] for s in rng.integers(0, 9 * m, size=b)]
+    held = list(rng.uniform(-4, 1, size=(b, u, m)))
+    patch, diff = 8 * u * m, 8 * u * (m - 1)
+    sums = 8 * b * (2 * u + m)
+    slack = 256 * 1024
+    for views, workspace in ((windows, patch + diff), (held, diff)):
+        pooling_peaks = []
+
+        def stream():
+            yield from views
+            # every view has been summed, and the workspace is still alive
+            pooling_peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            encoder.pool_features(stream())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pooling_peaks[0] <= workspace + sums + slack
+        assert peak <= max(workspace + sums, 2 * sums) + slack
+
+
+@pytest.mark.parametrize("other", [(96, 299), (95, 300)])
+def test_pool_features_rejects_views_of_unequal_shape(other):
+    rng = np.random.default_rng(8)
+    views = [rng.uniform(size=(96, 300)), rng.uniform(size=other)]
+    for batch in (views, iter(views), [v.astype(np.float32) for v in views]):
+        with pytest.raises(ValueError, match="unequal shape"):
+            encoder.pool_features(batch)
+
+
 def reference_train(records, spec, config, seed, mel_config, mel_cache):
     """The training loop written plainly: views collected in a list,
     np.stack'ed, and pooled by the reference above."""
@@ -269,6 +311,29 @@ def test_train_equals_a_stacking_reference_bitwise(random_tracks, mel_config, ch
     assert losses == ref_losses
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, ref_params.tensors()[name])
+
+
+@pytest.mark.parametrize("chain", [(), ("TS", "PS", "EQ")])
+def test_train_derives_augmentation_rngs_only_for_a_chain_with_a_stage(
+        random_tracks, monkeypatch, chain):
+    records, mels = random_tracks
+    keys = []
+
+    def spy(seed, *key):
+        keys.append(key)
+        return derive_rng(seed, *key)
+
+    monkeypatch.setattr(encoder, "derive_rng", spy)
+    cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1)
+    encoder.train(records, mels, AugmentationSpec(chain=chain), cfg, seed=9)
+    pairs = [(step, i) for step in range(3) for i in range(4)]
+    # an empty chain reads no rng; a chain with a stage gets one per view
+    assert [k for k in keys if k[0] == "augment"] == (
+        [("augment", step, i, vi) for step, i in pairs for vi in (0, 1)]
+        if chain else [])
+    assert [k for k in keys if k[0] != "augment"] == [("init",)] + [
+        key for step in range(3)
+        for key in [("step", step)] + [("pair", step, i) for i in range(4)]]
 
 
 # each stage's way from float32 to float64: the empty chain pools float32
