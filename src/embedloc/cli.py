@@ -201,7 +201,7 @@ def _load_checkpoint(config):
     """The run's encoder parameters, once w1's width is known to be the
     feature_dim of the configured mel bands (one-to-one in the count)."""
     path = _checkpoint_dir(config)
-    params, _, _ = Mlp.load(path, TrainConfig)
+    params = Mlp.load(path, TrainConfig)
     bands = config["mel"]["num_bands"]
     if params.w1.shape[1] != feature_dim(bands):
         raise DataError(

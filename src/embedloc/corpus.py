@@ -15,12 +15,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import tensorio
-from .analysis import PITCH_CLASSES
 from .augment import AugmentationSpec, derive_rng
 from .errors import ConfigError, DataError
 from .melfront import (BLAS_ONE_THREAD_MACS, MelConfig, MelSpectrogram,
                        compute_mel, load_pcm_f32, load_pcm_wav, write_pcm_wav)
 
+PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 KEY_VOCABULARY = tuple("%s:%s" % (pc, quality)
                        for pc in PITCH_CLASSES for quality in ("maj", "min"))
 
@@ -90,7 +90,7 @@ MANIFEST_REQUIRED = ("track_id", "feature_path", "duration_s")
 
 def read_manifest(path):
     """Read a JSON-lines manifest; a bad line raises DataError naming
-    path:line."""
+    path:line, and a manifest that lists no track one naming path."""
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -108,6 +108,8 @@ def read_manifest(path):
             except (ValueError, TypeError, OverflowError, RecursionError,
                     DataError) as exc:
                 raise DataError("%s:%d: %s" % (path, lineno, exc)) from exc
+    if not records:
+        raise DataError("%s: lists no tracks" % path)
     return records
 
 
@@ -177,15 +179,6 @@ def map_tracks(fn, items):
 # ---------------------------------------------------------------------------
 # contrastive pair sampling
 
-@dataclass
-class PairSample:
-    anchor: MelSpectrogram
-    positive: MelSpectrogram
-    track_id: str
-    anchor_offset_s: float
-    positive_offset_s: float
-
-
 def sample_pair_offsets(duration_s, context_s, rng):
     """Anchor uniform over the valid range; positive uniform within
     +/- PAIR_MAX_SEPARATION_S of it, clipped to track bounds."""
@@ -201,9 +194,10 @@ def sample_pair_offsets(duration_s, context_s, rng):
 
 
 def sample_pair(record: TrackRecord, mel: MelSpectrogram,
-                spec: AugmentationSpec, rng) -> PairSample:
-    """Draw a locally-positioned pair of context segments from one track,
-    as read-only windows of `mel`."""
+                spec: AugmentationSpec, rng):
+    """(anchor, positive): a locally-positioned pair of context segments
+    from one track, at the offsets sample_pair_offsets draws, as
+    read-only windows of `mel`."""
     cfg = mel.config
     ctx_frames = spec.context_frames(cfg)
     a_off, p_off = sample_pair_offsets(record.duration_s, spec.context_seconds, rng)
@@ -217,9 +211,7 @@ def sample_pair(record: TrackRecord, mel: MelSpectrogram,
                             % (record.track_id, mel.num_frames, ctx_frames))
         return mel.window(start, ctx_frames)
 
-    return PairSample(anchor=segment(a_off), positive=segment(p_off),
-                      track_id=record.track_id,
-                      anchor_offset_s=a_off, positive_offset_s=p_off)
+    return segment(a_off), segment(p_off)
 
 
 # ---------------------------------------------------------------------------

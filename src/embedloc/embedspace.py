@@ -1,5 +1,5 @@
 """Track embedding extraction, persistence, and exact cosine-distance
-nearest neighbor search from one cached neighbour table per set."""
+nearest neighbor search from one cached neighbour order per set."""
 
 import os
 from dataclasses import dataclass, field
@@ -45,11 +45,11 @@ class EmbeddingSet:
         return self.matrix[self.index(track_id)]
 
     def neighbor_table(self):
-        """(order, dist) from `build_neighbor_table`, built on first use."""
+        """The read-only (N, N-1) order from `build_neighbor_table`, built
+        on first use."""
         if self._table is None:
             self._table = build_neighbor_table(self.matrix, self.ids)
-            for table in self._table:
-                table.flags.writeable = False
+            self._table.flags.writeable = False
         return self._table
 
     def neighbors(self, k):
@@ -57,7 +57,7 @@ class EmbeddingSet:
         view of the neighbour table."""
         if not 0 < k < len(self):
             raise DataError("k=%d must be in [1, set size %d)" % (k, len(self)))
-        return self.neighbor_table()[0][:, :k]
+        return self.neighbor_table()[:, :k]
 
     def save(self, path_prefix):
         """Write the set as a tensor set: header `path_prefix`.json, whose
@@ -122,27 +122,29 @@ def cosine_distance(a, b):
 
 
 def build_neighbor_table(matrix, ids):
-    """Every row's neighbours, nearest first: (order, dist).
-
-    dist is the (N, N) cosine distance matrix with +inf on the diagonal.
-    order is (N, N-1): row i lists every other row by ascending
-    distance, ties broken by ascending id. Equal rows get bit-equal
-    distances because the product runs over the distinct rows only.
+    """Every row's neighbours, nearest first: an (N, N-1) array whose row
+    i lists every other row by ascending cosine distance, ties broken by
+    ascending id. Equal rows get bit-equal distances because the product
+    runs over the distinct rows only. At most two (N, N) arrays are alive
+    at once, and none outlives the call.
     """
     unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    dist = 1.0 - (unique @ unique.T)[np.ix_(inverse, inverse)]
-    np.fill_diagonal(dist, np.inf)
     # a stable sort over id-ordered columns breaks ties by id
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    order = by_id[np.argsort(dist[:, by_id], axis=1, kind="stable")]
-    return order[:, :-1], dist
+    dist = (unique @ unique.T)[np.ix_(inverse, inverse[by_id])]
+    np.subtract(1.0, dist, out=dist)
+    dist[by_id, np.arange(len(ids))] = np.inf   # each row itself sorts last
+    order = np.argsort(dist, axis=1, kind="stable")
+    del dist
+    return by_id[order[:, :-1]]
 
 
 def knn(emb_set: EmbeddingSet, query_id, k):
     """Exact k nearest neighbors by cosine distance, query excluded;
-    ties broken by ascending track id."""
+    ties broken by ascending track id. The order is the set's neighbour
+    table; the distances are 1 - dot products of the matrix rows."""
     hood = emb_set.neighbors(k)
     i = emb_set.index(query_id)
-    _, dist = emb_set.neighbor_table()
-    return [(emb_set.ids[j], float(dist[i, j])) for j in hood[i]]
+    dist = 1.0 - emb_set.matrix[hood[i]] @ emb_set.matrix[i]
+    return [(emb_set.ids[j], float(d)) for j, d in zip(hood[i], dist)]

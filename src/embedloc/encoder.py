@@ -77,6 +77,9 @@ def _summed_views(views):
     shape = layout = None
     for view in views:
         view = np.asarray(view)
+        if view.ndim != 2:
+            raise ValueError("a view of shape %s is not a (U, M) patch"
+                             % (view.shape,))
         if shape is None:
             shape = view.shape
         elif view.shape != shape:
@@ -116,9 +119,9 @@ def pool_features(views):
     """Fixed temporal pooling of B (U, M) patches to (B, 2U + L).
 
     `views` is any iterable of patches (a list, a generator, or a
-    (B, U, M) array), or one (U, M) patch; patches of unequal shape
-    raise ValueError. Patches are pooled one at a time through one
-    per-call workspace (_summed_views), so no batch-sized array is
+    (B, U, M) array); a view that is not 2-D, or patches of unequal
+    shape, raise ValueError. Patches are pooled one at a time through
+    one per-call workspace (_summed_views), so no batch-sized array is
     built, and a patch may be freed once it is summarized.
 
     Concatenates the per-band time average, the per-band mean absolute
@@ -128,8 +131,6 @@ def pool_features(views):
     autocorrelation runs once over the stacked (B, M) envelopes. Each
     mean is its stacked sums divided once, as np.mean divides.
     """
-    if isinstance(views, np.ndarray) and views.ndim == 2:
-        views = (views,)
     mean, diff, env = (np.stack(parts)
                        for parts in zip(*_summed_views(views)))
     u, m = mean.shape[1], env.shape[1]
@@ -200,13 +201,15 @@ class Mlp:
 
     @classmethod
     def load(cls, path, config_type):
-        """(Mlp, config_type instance, header) from a directory written by
-        save. Tensors that do not chain, or a stored config that
-        config_type rejects, raise DataError naming the header."""
+        """The Mlp of a directory written by save. Tensors that do not
+        chain, or a stored config that config_type rejects, raise
+        DataError naming the header."""
         header_path = os.path.join(path, "header.json")
         tensors, header = tensorio.load_params(header_path)
         try:
-            return cls(**tensors), config_type(**header["config"]), header
+            params = cls(**tensors)
+            config_type(**header["config"])
+            return params
         except (KeyError, TypeError, ConfigError, DataError) as exc:
             raise DataError("%s: bad parameter set: %s"
                             % (header_path, exc)) from None
@@ -310,7 +313,7 @@ def train(records, mels, aug_spec: AugmentationSpec, config: TrainConfig, *, see
             rec = tracks[ti]
             pair = sample_pair(rec, mels[rec.track_id], aug_spec,
                                derive_rng(seed, "pair", step, i))
-            for vi, seg in enumerate((pair.anchor, pair.positive)):
+            for vi, seg in enumerate(pair):
                 # an empty chain reads no rng, so none is derived for it
                 rng = (derive_rng(seed, "augment", step, i, vi)
                        if aug_spec.chain else None)

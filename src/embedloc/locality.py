@@ -14,6 +14,17 @@ DEFAULT_STRETCH_GRID = tuple(2.0 ** (i / 8.0) for i in range(-8, 9))
 DEFAULT_PITCH_GRID = tuple(range(-12, 13))   # semitones
 
 
+def _manipulation(kind, f):
+    """(augmentation, its parameters) for sweep factor f; a factor whose
+    parameters are out of range raises ConfigError naming it."""
+    try:
+        if kind == "time_stretch":
+            return time_stretch, TimeStretchParams(tau=float(f))
+        return pitch_shift, PitchShiftParams(mu=2.0 ** (f / 12.0))
+    except (ConfigError, OverflowError) as exc:
+        raise ConfigError("%s sweep factor %r: %s" % (kind, f, exc)) from None
+
+
 def manipulation_sweep(mels, params, kind, grid, window_frames):
     """{factor: [per-track cosine distance]} between track-average
     embeddings of modified and unmodified tracks, in grid order. `mels`
@@ -25,6 +36,8 @@ def manipulation_sweep(mels, params, kind, grid, window_frames):
     """
     if kind not in ("time_stretch", "pitch_shift"):
         raise ConfigError("unknown sweep kind %r" % kind)
+    # every factor is checked before any track is read
+    manipulations = [_manipulation(kind, f) for f in grid]
     identity = 1.0 if kind == "time_stretch" else 0.0
     if not any(np.isclose(f, identity) for f in grid):
         raise ConfigError("sweep grid must contain the identity factor")
@@ -34,12 +47,8 @@ def manipulation_sweep(mels, params, kind, grid, window_frames):
     distances = {f: [] for f in grid}
     for mel in mels:
         base = embed_track(mel, params, window_frames)
-        for f in grid:
-            if kind == "time_stretch":
-                modified = time_stretch(mel, TimeStretchParams(tau=float(f)))
-            else:
-                modified = pitch_shift(mel, PitchShiftParams(mu=2.0 ** (f / 12.0)))
-            emb = embed_track(modified, params, window_frames)
+        for f, (modify, p) in zip(grid, manipulations):
+            emb = embed_track(modify(mel, p), params, window_frames)
             distances[f].append(cosine_distance(base, emb))
     return distances
 

@@ -55,11 +55,3 @@ def make_click_mel(period_frames, config, frames=600, height=2.0):
     return melfront.MelSpectrogram(values=values, config=config,
                                    source_id="click-%d" % period_frames)
 
-
-def envelope_period(mel):
-    """Independent oracle: dominant frame-energy autocorrelation lag."""
-    env = np.sum(10.0 ** mel.values, axis=0)
-    env = env - env.mean()
-    ac = np.correlate(env, env, mode="full")[len(env) - 1:]
-    lo = 5
-    return lo + int(np.argmax(ac[lo:len(ac) // 2]))

@@ -4,15 +4,14 @@ These deliberately avoid the embedding pipeline: tempo comes from the
 autocorrelation of the frame-energy envelope, the key root from the
 strongest spectral peak folded to a pitch class. They are used to check
 that synthetic ground-truth labels are recoverable, and as independent
-references in tests.
+references in tests. No module of the package imports them.
 """
 
 import numpy as np
 
-from .melfront import band_grid_mel, mel_to_hz
+from embedloc.melfront import band_grid_mel, mel_to_hz
 
 C4_HZ = 261.6255653005986
-PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 
 def _parabolic_refine(y, i):
@@ -81,3 +80,11 @@ def estimate_root_pitch_class(mel, fmin_hz=450.0, fmax_hz=1100.0):
     freq = float(mel_to_hz(mel_pos))
     return int(np.round(12.0 * np.log2(freq / C4_HZ))) % 12
 
+
+def envelope_period(mel):
+    """Independent oracle: dominant frame-energy autocorrelation lag."""
+    env = np.sum(10.0 ** mel.values, axis=0)
+    env = env - env.mean()
+    ac = np.correlate(env, env, mode="full")[len(env) - 1:]
+    lo = 5
+    return lo + int(np.argmax(ac[lo:len(ac) // 2]))

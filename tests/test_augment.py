@@ -9,7 +9,8 @@ from embedloc import augment, melfront
 from embedloc.augment import (AugmentationSpec, EqParams, PitchShiftParams,
                               RrcParams, TimeStretchParams)
 from embedloc.errors import ConfigError, DataError
-from conftest import envelope_period, make_click_mel, make_tone_mel
+from conftest import make_click_mel, make_tone_mel
+from oracles import envelope_period, estimate_tempo_autocorrelation
 
 CFG = melfront.MelConfig()
 
@@ -290,14 +291,13 @@ def test_chain_insufficient_context():
 def test_ts_chain_tempo_span():
     # over many applications the detected tempo should span roughly
     # [120 * 0.75, 120 * 1.5]
-    from embedloc import analysis
     period = 50   # 120 BPM at 100 fps
     x = make_click_mel(period, CFG, frames=460)
     spec = AugmentationSpec(chain=("TS",))
     tempi = []
     for i in range(300):
         out = augment.apply_chain(x, spec, rng=augment.derive_rng(0, "span", i))
-        tempi.append(analysis.estimate_tempo_autocorrelation(out))
+        tempi.append(estimate_tempo_autocorrelation(out))
     tempi = np.array(tempi)
     assert tempi.min() < 95 and tempi.max() > 170
     assert np.all((tempi > 85) & (tempi < 185))

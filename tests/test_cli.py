@@ -128,10 +128,10 @@ def test_pipeline_end_to_end(tmp_path, capsys):
 
     # rerunning train is bit-reproducible: same checkpoint tensors
     from embedloc.encoder import Mlp, TrainConfig
-    params1, _, _ = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
+    params1 = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
     assert cli.main(["train"] + base) == 0
     capsys.readouterr()
-    params2, _, _ = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
+    params2 = Mlp.load(str(outdir / "checkpoints" / "TS-s0"), TrainConfig)
     import numpy as np
     for name, tensor in params1.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
@@ -562,6 +562,33 @@ def test_sweep_grid_with_a_repeated_factor_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "repeats a factor" in err
     assert "Traceback" not in err
     assert not list((tmp_path / "out").glob("sweep-*"))
+
+
+@pytest.mark.parametrize("factor", ["100000", "1" + "0" * 400, "-100000"],
+                         ids=["overflow", "400-digit-int", "underflow"])
+def test_sweep_pitch_factor_without_a_finite_ratio_exits_2_naming_it(tmp_path, capsys,
+                                                                     factor):
+    base = _valid_tree(tmp_path)
+    code = cli.main(["sweep", "--set", 'metrics.sweep_kind="pitch_shift"',
+                     "--set", "metrics.pitch_grid=[0, %s]" % factor] + base)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "sweep factor %s:" % factor in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("sweep-*"))
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "embed", "sweep",
+                                     "neighborhood", "retrieval", "probe"])
+def test_manifest_that_lists_no_tracks_exits_3_naming_it(tmp_path, capsys, command):
+    base = _valid_tree(tmp_path)
+    manifest = (tmp_path / ("corpus" if command == "extract" else "out/features")
+                / "manifest.jsonl")
+    manifest.write_text("\n")
+    assert cli.main([command] + base) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "%s: lists no tracks" % manifest in err
 
 
 @pytest.mark.parametrize("command", ["neighborhood", "retrieval", "probe"])

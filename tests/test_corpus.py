@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from embedloc import analysis, augment, corpus, encoder, melfront
+from embedloc import augment, corpus, encoder, melfront
 from embedloc.augment import AugmentationSpec, derive_rng
 from embedloc.errors import DataError
+import oracles
 
 
 def test_track_record_validation():
@@ -64,12 +65,19 @@ def test_pair_sampling_determinism():
     mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="t")
     rec = corpus.TrackRecord("t", "t.emlt", 16.0)
     spec = AugmentationSpec()
-    a = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
-    b = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
-    assert a.anchor_offset_s == b.anchor_offset_s
-    np.testing.assert_array_equal(a.positive.values, b.positive.values)
-    assert abs(a.anchor_offset_s - a.positive_offset_s) <= 5.0
-    assert a.anchor.num_frames == spec.context_frames(cfg)
+    a_anchor, a_positive = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
+    b_anchor, b_positive = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
+    # the windows sit at the offsets sample_pair_offsets draws from the rng
+    a_off, p_off = corpus.sample_pair_offsets(rec.duration_s, spec.context_seconds,
+                                              derive_rng(9, "pair"))
+    frames = spec.context_frames(cfg)
+    for seg, off in ((a_anchor, a_off), (a_positive, p_off)):
+        start = int(round(off * cfg.frames_per_second))
+        np.testing.assert_array_equal(seg.values, values[:, start:start + frames])
+    np.testing.assert_array_equal(a_anchor.values, b_anchor.values)
+    np.testing.assert_array_equal(a_positive.values, b_positive.values)
+    assert abs(a_off - p_off) <= 5.0
+    assert a_anchor.num_frames == spec.context_frames(cfg)
 
 
 def test_pair_offsets_past_the_track_clamp_to_its_last_window():
@@ -84,8 +92,8 @@ def test_pair_offsets_past_the_track_clamp_to_its_last_window():
         rec = corpus.TrackRecord("t", "t.emlt", duration_s)
         pair = corpus.sample_pair(rec, mel, spec, derive_rng(9, "pair"))
         if duration_s > 20.0:
-            np.testing.assert_array_equal(pair.anchor.values, values[:, -frames:])
-        for seg in (pair.anchor, pair.positive):
+            np.testing.assert_array_equal(pair[0].values, values[:, -frames:])
+        for seg in pair:
             assert seg.num_frames == frames
 
 
@@ -108,10 +116,10 @@ def test_labels_recoverable_by_signal_oracles(small_corpus):
     bpm_hits = key_hits = 0
     for rec in records:
         mel = mels[rec.track_id]
-        est = analysis.estimate_tempo_autocorrelation(mel)
+        est = oracles.estimate_tempo_autocorrelation(mel)
         bpm_hits += abs(est - rec.bpm) <= 2.0
-        pc = analysis.estimate_root_pitch_class(mel)
-        key_hits += pc == analysis.PITCH_CLASSES.index(rec.key_label.split(":")[0])
+        pc = oracles.estimate_root_pitch_class(mel)
+        key_hits += pc == corpus.PITCH_CLASSES.index(rec.key_label.split(":")[0])
     assert bpm_hits >= 0.95 * len(records)
     assert key_hits >= 0.95 * len(records)
 
@@ -179,7 +187,7 @@ def reference_track(bpm, key_label, timbre, duration_s, rate, rng):
     n = int(round(duration_s * rate))
     t = np.arange(n) / rate
     pc_name, quality = key_label.split(":")
-    pc = analysis.PITCH_CLASSES.index(pc_name)
+    pc = corpus.PITCH_CLASSES.index(pc_name)
     root = 523.2511306011972 * 2.0 ** (pc / 12.0)
     third = root * 2.0 ** ((4 if quality == "maj" else 3) / 12.0)
     fifth = root * 2.0 ** (7.0 / 12.0)
@@ -433,10 +441,10 @@ def test_pair_segments_and_crops_are_read_only_windows_and_train_writes_no_track
         source_id=r.track_id) for r in records}
     kept = {tid: mel.values.copy() for tid, mel in mels.items()}
     mel = mels["t0"]
-    pair = corpus.sample_pair(records[0], mel, AugmentationSpec(),
-                              derive_rng(9, "pair"))
-    crop = augment.center_crop(pair.anchor, 300)
-    for seg in (pair.anchor, pair.positive, crop):
+    anchor, positive = corpus.sample_pair(records[0], mel, AugmentationSpec(),
+                                          derive_rng(9, "pair"))
+    crop = augment.center_crop(anchor, 300)
+    for seg in (anchor, positive, crop):
         assert np.shares_memory(seg.values, mel.values)
         assert not seg.values.flags.writeable
         with pytest.raises(ValueError):
@@ -490,6 +498,15 @@ manifest_lines = st.lists(
     record_like | st.text(max_size=40)
     | st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
     min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("data", [b"", b"\n", b"\n  \n\n"],
+                         ids=["empty", "one-blank-line", "blank-lines"])
+def test_manifest_that_lists_no_tracks_raises_data_error(tmp_path, data):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="m.jsonl: lists no tracks"):
+        corpus.read_manifest(path)
 
 
 @settings(max_examples=300, deadline=None,

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def sets_with_ties(draw):
 @given(sets_with_ties())
 def test_neighbor_table_matches_plain_sort(es):
     n = len(es)
-    assert es.neighbor_table()[0].shape == (n, n - 1)
+    assert es.neighbor_table().shape == (n, n - 1)
     for i, (q, qrow) in enumerate(zip(es.ids, es.matrix)):
         ref = sorted((1.0 - float(np.dot(row, qrow)), tid)
                      for tid, row in zip(es.ids, es.matrix) if tid != q)
@@ -191,6 +192,29 @@ def test_matrix_and_table_are_read_only():
     assert es.matrix[0, 0] != 5.0
     with pytest.raises(ValueError):
         es.matrix[0, 0] = 5.0
-    for table in es.neighbor_table():
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
+    table = es.neighbor_table()
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def test_neighbor_table_is_the_order_alone():
+    # the set keeps one read-only (N, N-1) intp order; the (N, N)
+    # distances and sort of the build are freed once it returns, and at
+    # most two of them are alive at once. The peak's slack covers
+    # numpy's indexing and sorting buffers.
+    n = 500
+    es = random_set(np.random.default_rng(8), n=n, d=16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = es.neighbor_table()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (n, n - 1) and table.dtype == np.intp
+    assert table.base is None and not table.flags.writeable
+    assert es.neighbor_table() is table
+    square = n * n * 8
+    assert held <= table.nbytes + 16 * 1024
+    assert peak <= 2 * square + 512 * 1024 < 3 * square

@@ -133,8 +133,8 @@ def test_pooling_is_sensitive_to_time_stretch():
     mel = melfront.MelSpectrogram(values=values, config=cfg, source_id="x")
     a = time_stretch(mel, TimeStretchParams(tau=1.0), out_frames=450)
     b = time_stretch(mel, TimeStretchParams(tau=1.4), out_frames=450)
-    fa = encoder.pool_features(a.values)
-    fb = encoder.pool_features(b.values)
+    fa = encoder.pool_features([a.values])
+    fb = encoder.pool_features([b.values])
     assert np.linalg.norm(fa - fb) > 0.1
 
 
@@ -174,7 +174,7 @@ def test_pool_features_equals_the_plain_reference_bitwise(views, frames):
     for batch in (x, column_major, x.astype(np.float32)):
         np.testing.assert_array_equal(encoder.pool_features(batch),
                                       reference_pool_features(batch))
-    np.testing.assert_array_equal(encoder.pool_features(x[0]),
+    np.testing.assert_array_equal(encoder.pool_features([x[0]]),
                                   reference_pool_features(x[0]))
     # windows of a longer track, as sample_pair and center_crop leave
     # them: strided row-major ones in a list and from a generator, and
@@ -246,6 +246,15 @@ def test_pool_features_peak_memory_is_one_workspace_and_the_sums():
         assert peak <= max(workspace + sums, 2 * sums) + slack
 
 
+@pytest.mark.parametrize("shape", [(300,), (2, 96, 300)])
+def test_pool_features_rejects_a_view_that_is_not_one_patch(shape):
+    # one (U, M) patch is a batch of its rows, which are not patches
+    rng = np.random.default_rng(8)
+    for batch in ([rng.uniform(size=shape)], rng.uniform(size=(96, 300))):
+        with pytest.raises(ValueError, match="not a \\(U, M\\) patch"):
+            encoder.pool_features(batch)
+
+
 @pytest.mark.parametrize("other", [(96, 299), (95, 300)])
 def test_pool_features_rejects_views_of_unequal_shape(other):
     rng = np.random.default_rng(8)
@@ -269,9 +278,9 @@ def reference_train(records, spec, config, seed, mel_config, mel_cache):
         views = []
         for i, ti in enumerate(picks):
             rec = tracks[ti]
-            pair = sample_pair(rec, mel_cache[rec.track_id], spec,
-                               derive_rng(seed, "pair", step, i))
-            for vi, seg in enumerate((pair.anchor, pair.positive)):
+            anchor, positive = sample_pair(rec, mel_cache[rec.track_id], spec,
+                                           derive_rng(seed, "pair", step, i))
+            for vi, seg in enumerate((anchor, positive)):
                 views.append(apply_chain(
                     seg, spec, rng=derive_rng(seed, "augment", step, i, vi)).values)
         pooled = reference_pool_features(np.stack(views))
@@ -602,7 +611,9 @@ def test_checkpoint_roundtrip(tmp_path, tiny_training):
     _, _, _, cfg, params, _ = tiny_training
     path = str(tmp_path / "ckpt")
     params.save(path, cfg, {"chain": "none"})
-    back, back_cfg, header = Mlp.load(path, TrainConfig)
+    back = Mlp.load(path, TrainConfig)
+    header = json.loads((tmp_path / "ckpt" / "header.json").read_text())
+    back_cfg = TrainConfig(**header["config"])
     assert header["provenance"] == {"chain": "none"}
     assert back_cfg == cfg
     for name, tensor in params.tensors().items():

@@ -211,6 +211,25 @@ def test_cli_imports_without_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_loads_every_module_of_the_package():
+    # a module that no command loads belongs with whatever uses it
+    code = ("import sys, embedloc.cli; print(sorted(m for m in sys.modules"
+            " if m == 'embedloc' or m.startswith('embedloc.')))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    files = glob.glob(os.path.join(SRC, "embedloc", "*.py"))
+    modules = sorted("embedloc" if name == "__init__" else "embedloc." + name
+                     for name in (os.path.basename(f)[:-3] for f in files))
+    assert done.stdout.strip() == repr(modules)
+
+
+def test_signal_oracles_are_not_in_the_package():
+    # they live with the tests they serve (tests/oracles.py)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("embedloc.analysis")
+
+
 def test_cli_imports_without_numpy_ma():
     code = ("import sys, embedloc.cli; print(sorted(m for m in sys.modules"
             " if m == 'numpy.ma' or m.startswith('numpy.ma.')))")

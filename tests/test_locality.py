@@ -252,6 +252,26 @@ def test_sweep_grid_must_contain_identity(sweep_inputs):
         locality.manipulation_sweep(mels, params, "pitch_shift", (0, 0, 2), 300)
 
 
+@pytest.mark.parametrize("kind,factor,reason", [
+    ("pitch_shift", 100000, "Numerical result out of range"),
+    ("pitch_shift", 10 ** 400, "int too large"),
+    ("pitch_shift", -100000, "mu must be positive"),
+    ("time_stretch", 4.0, "outside operational range"),
+], ids=["pitch-overflow", "pitch-400-digit-int", "pitch-underflow", "stretch-range"])
+def test_sweep_factor_out_of_range_raises_config_error_before_any_track(
+        sweep_inputs, kind, factor, reason):
+    _, params, _ = sweep_inputs
+
+    def no_tracks():
+        raise AssertionError("a track was read")
+        yield
+
+    identity = 1.0 if kind == "time_stretch" else 0
+    with pytest.raises(ConfigError, match="%s sweep factor %r: .*%s"
+                       % (kind, factor, reason)):
+        locality.manipulation_sweep(no_tracks(), params, kind, (identity, factor), 300)
+
+
 def test_sweep_serialization(tmp_path, sweep_inputs):
     """The sweep keys its per-track distances by factor in grid order, and
     the CLI table writer writes them as they are."""

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -178,7 +179,9 @@ def test_probe_persistence(tmp_path):
     cfg = ProbeConfig(total_steps=10)
     path = str(tmp_path / "probe")
     model.save(path, cfg, {"embedding": "none-s0"})
-    back, back_cfg, header = Mlp.load(path, ProbeConfig)
+    back = Mlp.load(path, ProbeConfig)
+    header = json.loads((tmp_path / "probe" / "header.json").read_text())
+    back_cfg = ProbeConfig(**header["config"])
     assert back_cfg == cfg
     assert list(header) == ["tensors", "config", "provenance"]
     assert header["provenance"] == {"embedding": "none-s0"}
