@@ -8,7 +8,7 @@ and may not be combined with them; RRC + EQ is allowed.
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,6 +116,21 @@ class AugmentationSpec:
 
     def output_frames(self, config):
         return int(round(self.output_seconds * config.frames_per_second))
+
+    def check_frames(self, config):
+        """Raise ConfigError unless the output has the 2 frames that pooling's
+        differences need and, with TS, the context holds TS's reach at TAU_RANGE[1]."""
+        out, ctx = self.output_frames(config), self.context_frames(config)
+        reach = stretch_frames(ctx, TAU_RANGE[1])
+        if out < 2:
+            raise ConfigError("output_seconds %g is %d frame(s) at %g frames/s;"
+                              " need at least 2" % (self.output_seconds, out,
+                                                    config.frames_per_second))
+        if "TS" in self.chain and reach < out:
+            raise ConfigError("context_seconds %g is %d frames, which TS at tau %g"
+                              " stretches to %d; output_seconds %g needs %d"
+                              % (self.context_seconds, ctx, TAU_RANGE[1], reach,
+                                 self.output_seconds, out))
 
     def to_dict(self):
         return {"chain": list(self.chain),
@@ -282,6 +297,11 @@ def center_crop(x: MelSpectrogram, frames: int) -> MelSpectrogram:
     return x.window((x.num_frames - frames) // 2, frames)
 
 
+def stretch_frames(source_frames, tau):
+    """Output frames TS at `tau` fills from `source_frames`: tau*m <= the last."""
+    return int(np.floor((source_frames - 1) / tau)) + 1
+
+
 def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
                  out_frames: int | None = None) -> MelSpectrogram:
     """Resample along time at positions tau*m with a natural cubic spline.
@@ -296,14 +316,12 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
     m_src = x.num_frames
     if m_src < 2:
         raise DataError("need at least 2 frames to stretch")
-    max_out = int(np.floor((m_src - 1) / p.tau)) + 1
+    max_out = stretch_frames(m_src, p.tau)
     if out_frames is None:
         out_frames = max_out
     elif out_frames > max_out:
-        raise DataError(
-            "insufficient context: tau=%g over %d output frames needs %d "
-            "source frames, have %d"
-            % (p.tau, out_frames, int(np.ceil(p.tau * (out_frames - 1))) + 1, m_src))
+        raise DataError("insufficient context: tau=%g stretches %d source frames to"
+                        " %d output frames, not %d" % (p.tau, m_src, max_out, out_frames))
     first, w = _spline_weights(m_src, p.tau * np.arange(out_frames))
     width = w.shape[1]
     # float64 copies of only the source frames the chunks reach
@@ -315,7 +333,7 @@ def time_stretch(x: MelSpectrogram, p: TimeStretchParams,
         hi = min(first[rows][-1] + width, m_src)
         np.matmul(_operator_columns(first[rows], w[rows], lo, hi),
                   frames[lo:hi], out=out[rows])
-    return x.copy(values=out.T)
+    return replace(x, values=out.T)
 
 
 def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
@@ -336,7 +354,7 @@ def pitch_shift(x: MelSpectrogram, p: PitchShiftParams) -> MelSpectrogram:
     out = (np.asarray(x.values, dtype=float).T
            @ natural_spline_operator(u_count, src_pos).T).T
     out[~valid, :] = log_silence(cfg)
-    return x.copy(values=out)
+    return replace(x, values=out)
 
 
 def butterworth_magnitude(freq_hz, corner_hz, mode):
@@ -373,10 +391,7 @@ def eq_offsets(config, p: EqParams):
 
 
 def equalize(x: MelSpectrogram, p: EqParams) -> MelSpectrogram:
-    if p.mode == "none":
-        return x.copy()
-    offs = eq_offsets(x.config, p)
-    return x.copy(values=x.values + offs[:, None])
+    return replace(x, values=x.values + eq_offsets(x.config, p)[:, None])
 
 
 def _resize_bilinear(arr, out_rows, out_cols):
@@ -415,7 +430,7 @@ def random_resized_crop(x: MelSpectrogram, p: RrcParams,
     f0 = int(round(p.time_offset * (m_src - crop_f)))
     u0 = int(round(p.freq_offset * (u_count - crop_u)))
     patch = x.values[u0:u0 + crop_u, f0:f0 + crop_f]
-    return x.copy(values=_resize_bilinear(patch, u_count, out_frames))
+    return replace(x, values=_resize_bilinear(patch, u_count, out_frames))
 
 
 def apply_chain(x: MelSpectrogram, spec: AugmentationSpec, rng) -> MelSpectrogram:
@@ -423,12 +438,8 @@ def apply_chain(x: MelSpectrogram, spec: AugmentationSpec, rng) -> MelSpectrogra
     in pipeline order; the result always has output_seconds of frames.
     With no stage it is a read-only window of `x`; every stage writes only
     into arrays it allocates, so `x` is never modified."""
-    ctx = spec.context_frames(x.config)
+    work = center_crop(x, spec.context_frames(x.config))
     out = spec.output_frames(x.config)
-    if x.num_frames < ctx:
-        raise DataError("input has %d frames, chain needs %d of context"
-                        % (x.num_frames, ctx))
-    work = center_crop(x, ctx)
     if "RRC" in spec.chain:
         work = random_resized_crop(work, sample_rrc(rng), out_frames=out)
     elif "TS" in spec.chain:

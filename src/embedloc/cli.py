@@ -2,9 +2,10 @@
 
 Subcommands: synth, extract, train, embed, sweep, neighborhood,
 retrieval, probe, report. Configuration is a single JSON document;
---set a.b.c=value overrides any leaf. Every random draw (corpus,
-training, augmentation, probe) derives from the one top-level `seed`,
-which EMBEDLOC_SEED overrides; there are no per-section seed keys.
+--set a.b.c=value overrides any leaf, and every command checks the whole
+config at load (the chain's frames through AugmentationSpec.check_frames).
+Every random draw derives from the one top-level `seed`, which
+EMBEDLOC_SEED overrides; there are no per-section seed keys.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -100,6 +101,12 @@ def _apply_override(config, dotted, raw_value):
     return _merge_known(config, value)
 
 
+def _check_k_grid(k_grid):
+    # a k at or past the embedding set's size is checked against the set
+    if not k_grid or min(k_grid) < 1 or len(set(k_grid)) != len(k_grid):
+        raise ConfigError("metrics.k_grid %s must hold distinct ks >= 1" % k_grid)
+
+
 def load_config(path=None, overrides=()):
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
@@ -124,22 +131,15 @@ def load_config(path=None, overrides=()):
             config["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
-    mel = _mel_config(config)
-
-    def check_augmentation():
-        spec = _aug_spec(config)
-        # pooling takes frame differences, which need 2 frames per window
-        frames = spec.output_frames(mel)
-        if frames < 2:
-            raise ConfigError("output_seconds %g is %d frame(s) at %g frames/s;"
-                              " need at least 2" % (spec.output_seconds, frames,
-                                                    mel.frames_per_second))
-
     # each section is checked whole, so every command rejects it, naming
     # where it and any section its check reads (mel) were set
-    for sections, check in ((("augmentation", "mel"), check_augmentation),
-                            (("train",), lambda: TrainConfig(**config["train"])),
-                            (("probe",), lambda: ProbeConfig(**config["probe"]))):
+    for sections, check in (
+            (("mel",), lambda: _mel_config(config)),
+            (("augmentation", "mel"),
+             lambda: _aug_spec(config).check_frames(_mel_config(config))),
+            (("train",), lambda: TrainConfig(**config["train"])),
+            (("probe",), lambda: ProbeConfig(**config["probe"])),
+            (("metrics",), lambda: _check_k_grid(config["metrics"]["k_grid"]))):
         try:
             check()
         except ConfigError as exc:

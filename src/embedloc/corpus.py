@@ -179,11 +179,16 @@ def map_tracks(fn, items):
 # ---------------------------------------------------------------------------
 # contrastive pair sampling
 
+def pair_min_duration_s(context_s):
+    """The shortest track that holds two contexts PAIR_MAX_SEPARATION_S apart."""
+    return 2.0 * context_s + PAIR_MAX_SEPARATION_S
+
+
 def sample_pair_offsets(duration_s, context_s, rng):
     """Anchor uniform over the valid range; positive uniform within
     +/- PAIR_MAX_SEPARATION_S of it, clipped to track bounds."""
     hi = duration_s - context_s
-    minimum = 2.0 * context_s + PAIR_MAX_SEPARATION_S
+    minimum = pair_min_duration_s(context_s)
     if duration_s < minimum:
         raise DataError("duration %.2f s below minimum %.2f s"
                         % (duration_s, minimum))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensorio
 from .augment import AugmentationSpec, apply_chain, derive_rng
-from .corpus import PAIR_MAX_SEPARATION_S, sample_pair
+from .corpus import pair_min_duration_s, sample_pair
 from .errors import ConfigError, DataError, NumericalError
 
 
@@ -278,7 +278,7 @@ def lr_at(step, config: TrainConfig):
 
 
 def usable_train_tracks(records, aug_spec: AugmentationSpec):
-    minimum = 2.0 * aug_spec.context_seconds + PAIR_MAX_SEPARATION_S
+    minimum = pair_min_duration_s(aug_spec.context_seconds)
     return [r for r in records if r.split == "train" and r.duration_s >= minimum]
 
 

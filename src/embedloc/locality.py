@@ -134,11 +134,5 @@ def compute_neighborhood_report(emb_set, records, k_grid):
     """{metric: {k: value}} for the four metrics over the k grid. Each
     metric is called by its module-level name, where pipebench's tracer
     wraps it."""
-    report = {"tempo_rmms": {}, "key_precision": {}, "tag_precision": {},
-              "tag_retrieval": {}}
-    for k in k_grid:
-        report["tempo_rmms"][k] = tempo_rmms(emb_set, records, k)
-        report["key_precision"][k] = key_precision(emb_set, records, k)
-        report["tag_precision"][k] = tag_precision(emb_set, records, k)
-        report["tag_retrieval"][k] = tag_retrieval(emb_set, records, k)
-    return report
+    metrics = (tempo_rmms, key_precision, tag_precision, tag_retrieval)
+    return {m.__name__: {k: m(emb_set, records, k) for k in k_grid} for m in metrics}

@@ -105,17 +105,6 @@ class MelSpectrogram:
     def num_frames(self):
         return self.values.shape[1]
 
-    def copy(self, values=None):
-        """A spectrogram with this one's config and source id holding
-        `values` (by default this one's). Values that share memory with
-        this spectrogram's, such as a crop, are copied; a freshly
-        computed array is adopted as it is."""
-        values = self.values if values is None else values
-        return MelSpectrogram(
-            values=(np.array(values) if np.may_share_memory(values, self.values)
-                    else np.asarray(values)),
-            config=self.config, source_id=self.source_id)
-
     def window(self, start, frames):
         """Frames start..start+frames-1 as a read-only view of this
         spectrogram's values: no copy is made, and writing to the window

@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgtsv
 
 from embedloc import augment, melfront
@@ -102,7 +104,7 @@ def test_time_stretch_commutes_with_constant_offset():
     rng = np.random.default_rng(6)
     x = random_mel(rng)
     p = TimeStretchParams(tau=1.3)
-    shifted = x.copy(values=x.values + 2.5)
+    shifted = replace(x, values=x.values + 2.5)
     np.testing.assert_allclose(
         augment.time_stretch(shifted, p, out_frames=300).values,
         augment.time_stretch(x, p, out_frames=300).values + 2.5, atol=1e-9)
@@ -153,7 +155,7 @@ def test_pitch_shift_zero_fill_for_downshift():
 def test_pitch_shift_commutes_with_constant_offset():
     x = random_mel(np.random.default_rng(9))
     p = PitchShiftParams(mu=1.2)   # mu > 1: no zero-filled bands
-    shifted = x.copy(values=x.values + 1.5)
+    shifted = replace(x, values=x.values + 1.5)
     np.testing.assert_allclose(
         augment.pitch_shift(shifted, p).values,
         augment.pitch_shift(x, p).values + 1.5, atol=1e-9)
@@ -250,6 +252,51 @@ def test_rrc_full_height_crop_matches_time_stretch():
 
 
 # ---------------------------------------------------------------------------
+# frame geometry
+
+def test_default_ts_geometry_sits_on_the_reach_and_passes():
+    # 450 context frames stretch to exactly the 300 output frames at tau 1.5
+    spec = AugmentationSpec(chain=("TS", "PS", "EQ"))
+    assert augment.stretch_frames(spec.context_frames(CFG),
+                                  augment.TAU_RANGE[1]) == spec.output_frames(CFG)
+    spec.check_frames(CFG)
+
+
+def test_frame_check_rejects_a_context_short_of_the_ts_reach():
+    with pytest.raises(ConfigError, match=r"^context_seconds 3.5 is 350 frames, which"
+                       r" TS at tau 1.5 stretches to 233; output_seconds 3 needs 300$"):
+        AugmentationSpec(chain=("TS",), context_seconds=3.5).check_frames(CFG)
+    # without TS the context is only cropped
+    for chain in ((), ("PS", "EQ"), ("RRC",)):
+        AugmentationSpec(chain=chain, context_seconds=3.5).check_frames(CFG)
+
+
+@settings(max_examples=150, deadline=None)
+@given(out=st.integers(2, 400), slack=st.integers(-3, 3), hop=st.integers(40, 400))
+def test_frame_check_accepts_ts_exactly_when_time_stretch_fills_the_output(out, slack,
+                                                                           hop):
+    # contexts around the reach ceil(1.5 (out - 1)) + 1, on either side of it
+    cfg = melfront.MelConfig(hop=hop)
+    fps = cfg.frames_per_second
+    ctx = max(out, int(np.ceil(1.5 * (out - 1))) + 1 + slack)
+    spec = AugmentationSpec(chain=("TS",), context_seconds=ctx / fps,
+                            output_seconds=out / fps)
+    ctx, out = spec.context_frames(cfg), spec.output_frames(cfg)
+    x = melfront.MelSpectrogram(values=np.zeros((4, ctx)), config=cfg)
+    try:
+        filled = augment.time_stretch(x, TimeStretchParams(tau=augment.TAU_RANGE[1]),
+                                      out_frames=out).num_frames == out
+    except DataError:
+        filled = False
+    try:
+        spec.check_frames(cfg)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == filled
+
+
+# ---------------------------------------------------------------------------
 # chains
 
 def test_chain_validation():
@@ -286,6 +333,36 @@ def test_chain_insufficient_context():
     with pytest.raises(DataError):
         augment.apply_chain(x, AugmentationSpec(chain=("TS",)),
                             np.random.default_rng(0))
+
+
+STAGE_CALLS = [
+    (augment.time_stretch, TimeStretchParams(tau=1.2)),
+    (augment.pitch_shift, PitchShiftParams(mu=0.9)),
+    (augment.equalize, EqParams(mode="none")),
+    (augment.equalize, EqParams(mode="lowpass", corner_hz=3000.0)),
+    (augment.equalize, EqParams(mode="highpass", corner_hz=500.0)),
+    (augment.random_resized_crop, RrcParams(time_scale=0.8, freq_scale=0.7,
+                                            time_offset=0.3, freq_offset=0.6)),
+    (augment.random_resized_crop, RrcParams(time_scale=1.0, freq_scale=1.0)),
+]
+
+
+@pytest.mark.parametrize("stage,params", STAGE_CALLS,
+                         ids=["%s-%d" % (f.__name__, i)
+                              for i, (f, _) in enumerate(STAGE_CALLS)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stage_output_shares_no_memory_with_its_input(stage, params, dtype):
+    # the input is a read-only window, as apply_chain hands each stage
+    track = melfront.MelSpectrogram(
+        values=np.random.default_rng(16).uniform(-4.0, 2.0, (CFG.num_bands, 500)
+                                                 ).astype(dtype),
+        config=CFG, source_id="track")
+    kept = track.values.tobytes()
+    x = track.window(20, 450)
+    out = stage(x, params)
+    assert not np.may_share_memory(out.values, track.values)
+    assert out.config is CFG and out.source_id == "track"
+    assert track.values.tobytes() == kept
 
 
 def test_ts_chain_tempo_span():

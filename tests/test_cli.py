@@ -472,10 +472,11 @@ def _valid_tree(tmp_path):
     EmbeddingSet(ids=["a", "b", "c"],
                  matrix=matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
                  ).save(str(out / "embeddings" / "none-s0"))
-    (tmp_path / "c.json").write_text("{}")
+    # k_grid is set in the file, so that a row below can corrupt it there
+    (tmp_path / "c.json").write_text('{"metrics": {"k_grid": [1]}}')
     sets = {"paths.corpus_dir": '"%s"' % corpus_dir, "paths.output_dir": '"%s"' % out,
             "train.total_steps": 2, "train.warmup_steps": 1, "train.batch_pairs": 2,
-            "probe.total_steps": 2, "metrics.k_grid": "[1]"}
+            "probe.total_steps": 2}
     return [arg for key, value in sets.items()
             for arg in ("--set", "%s=%s" % (key, value))]
 
@@ -762,6 +763,15 @@ CORRUPT_INPUTS = [
     # learning rates that are not above 0
     ("probe", "c.json", lambda b: b'{"probe": {"learning_rate": -1}}', 2),
     ("train", "c.json", lambda b: b'{"train": {"peak_lr": 0}}', 2),
+    # k grids that no set size makes valid
+    ("neighborhood", "c.json", lambda b: b'{"metrics": {"k_grid": [0]}}', 2),
+    ("retrieval", "c.json", lambda b: b'{"metrics": {"k_grid": [-3]}}', 2),
+    ("neighborhood", "c.json", lambda b: b'{"metrics": {"k_grid": [1, 1]}}', 2),
+    ("retrieval", "c.json", lambda b: b'{"metrics": {"k_grid": []}}', 2),
+    ("synth", "c.json", lambda b: b'{"metrics": {"k_grid": [1, 1]}}', 2),
+    # a TS chain whose context cannot hold its reach at tau 1.5
+    ("train", "c.json",
+     lambda b: b'{"augmentation": {"chain": ["TS"], "context_seconds": 3.5}}', 2),
 ]
 
 
@@ -849,6 +859,59 @@ def test_augmentation_check_names_the_mel_settings_it_reads(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: augmentation from %s, --set mel.hop=40000: output_seconds"
         " 3 is 1 frame(s) at 0.4 frames/s; need at least 2\n" % path)
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "sweep"])
+def test_ts_chain_short_of_its_reach_exits_2_at_load_writing_nothing(tmp_path, capsys,
+                                                                     command):
+    # it used to pass load, and train read every track to fail in step 0
+    base = _valid_tree(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    sets = ['--set', 'augmentation.chain=["TS"]',
+            "--set", "augmentation.context_seconds=3.5"]
+    assert cli.main([command] + sets + base) == 2
+    assert capsys.readouterr().err == (
+        'config error: augmentation from --set augmentation.chain=["TS"], --set'
+        " augmentation.context_seconds=3.5: context_seconds 3.5 is 350 frames,"
+        " which TS at tau 1.5 stretches to 233; output_seconds 3 needs 300\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_default_ts_geometry_loads():
+    # 450 context frames reach exactly the 300 output frames at tau 1.5
+    cli.load_config(overrides=['augmentation.chain=["TS", "PS", "EQ"]'])
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+def test_mel_error_names_where_mel_was_set(tmp_path, capsys, via):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"mel": {"hop": 0}} if via == "file" else {}))
+    args = ["report", "--config", str(path)] + _out_args(tmp_path)
+    if via == "set":
+        args += ["--set", "mel.hop=0", "--set", "augmentation.output_seconds=2.0"]
+    assert cli.main(args) == 2
+    origin = str(path) + (", --set mel.hop=0" if via == "set" else "")
+    assert capsys.readouterr().err == (
+        "config error: mel from %s: hop must be >= 1\n" % origin)
+
+
+@pytest.mark.parametrize("k_grid", ["[0]", "[-3]", "[1,1]", "[]"])
+def test_k_grid_of_no_valid_ks_exits_2_naming_it(tmp_path, capsys, k_grid):
+    # [1,1] used to write one k=1 entry in the JSON beside two CSV rows
+    base = _valid_tree(tmp_path)
+    for command in ("neighborhood", "retrieval", "report"):
+        assert cli.main([command, "--set", "metrics.k_grid=%s" % k_grid] + base) == 2
+        assert capsys.readouterr().err == (
+            "config error: metrics from --set metrics.k_grid=%s: metrics.k_grid %s"
+            " must hold distinct ks >= 1\n" % (k_grid, json.loads(k_grid)))
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+def test_k_at_the_set_size_stays_a_data_error(tmp_path, capsys):
+    # valid at load; the 3-track set makes k=3 too large
+    base = _valid_tree(tmp_path)
+    assert cli.main(["neighborhood", "--set", "metrics.k_grid=[1,3]"] + base) == 3
+    assert "k=3 must be in [1, set size 3)" in capsys.readouterr().err
 
 
 def test_probe_without_labelled_test_tracks_drops_the_former_evaluation(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ def test_float32_stored_tracks_give_the_float64_bits(random_tracks, mel_config,
         mel.save(tmp_path / (tid + ".emlt"))
         stored[tid] = melfront.MelSpectrogram.load(tmp_path / (tid + ".emlt"),
                                                    mel_config, tid)
-        held[tid] = stored[tid].copy(values=stored[tid].values.astype(float))
+        held[tid] = replace(stored[tid], values=stored[tid].values.astype(float))
         assert stored[tid].values.dtype == np.float32
     spec = AugmentationSpec(chain=chain)
     cfg = TrainConfig(batch_pairs=4, total_steps=3, warmup_steps=1,
@@ -598,6 +599,17 @@ def test_train_is_deterministic(small_corpus, mel_config, tiny_training):
     assert losses == losses2
     for name, tensor in params.tensors().items():
         np.testing.assert_array_equal(tensor, params2.tensors()[name])
+
+
+def test_usable_tracks_and_pair_offsets_share_the_minimum_length():
+    # 2 contexts of 4.5 s and the 5 s separation: 14.0 s holds a pair
+    records = [TrackRecord(tid, tid + ".emlt", d) for tid, d in (("a", 14.0),
+                                                                  ("b", 13.9))]
+    usable = encoder.usable_train_tracks(records, AugmentationSpec(context_seconds=4.5))
+    assert [r.track_id for r in usable] == ["a"]
+    corpus.sample_pair_offsets(14.0, 4.5, np.random.default_rng(0))
+    with pytest.raises(DataError, match="below minimum 14.00 s"):
+        corpus.sample_pair_offsets(13.9, 4.5, np.random.default_rng(0))
 
 
 def test_train_rejects_empty_track_list(mel_config):

@@ -49,7 +49,6 @@ REMOVED = [
     (probe.acc2_hits, "tolerance"),
     (probe.acc2_hits, "octaves"),
     (probe.smooth_scores, "taps"),
-    (melfront.MelSpectrogram.copy, "source_id"),
     (augment.butterworth_magnitude, "order"),
     (augment.EqParams, "order"),
     (augment.AugmentationSpec, "rng_seed"),

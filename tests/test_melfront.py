@@ -240,23 +240,6 @@ def test_fixture_corpus_mel_equals_a_dense_filterbank_product(small_corpus,
         np.testing.assert_array_equal(mels[rec.track_id].values, want)
 
 
-def test_copy_adopts_fresh_values_and_copies_views():
-    cfg = melfront.MelConfig()
-    source = melfront.MelSpectrogram(
-        values=np.random.default_rng(7).standard_normal((cfg.num_bands, 50)),
-        config=cfg, source_id="s")
-    fresh = source.values * 2.0
-    assert source.copy(values=fresh).values is fresh
-    crop = source.copy(values=source.values[:, 10:20])
-    assert not np.may_share_memory(crop.values, source.values)
-    whole = source.copy()
-    assert not np.may_share_memory(whole.values, source.values)
-    kept = crop.values.copy()
-    source.values[:] = 0.0
-    np.testing.assert_array_equal(crop.values, kept)
-    assert whole.source_id == crop.source_id == "s"
-
-
 def test_unreadable_wav_is_a_data_error(tmp_path):
     path = tmp_path / "t.wav"
     for blob in (b"", b"RIFF", b"not a wav file at all"):
