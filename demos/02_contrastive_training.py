@@ -15,7 +15,8 @@ from embedloc.augment import AugmentationSpec
 work = tempfile.mkdtemp(prefix="embedloc-demo-")
 cfg = melfront.MelConfig()
 
-records = corpus.generate_synthetic_corpus(work + "/wav", 24, seed=0)
+records = corpus.generate_synthetic_corpus(
+    work + "/wav", corpus.CorpusConfig(num_tracks=24), cfg.sample_rate_hz, seed=0)
 records = corpus.extract_features(records, cfg, work + "/wav", work + "/feat")
 print("corpus: %d tracks, BPM %g..%g"
       % (len(records), min(r.bpm for r in records),

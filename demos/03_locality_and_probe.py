@@ -16,7 +16,8 @@ from embedloc.augment import AugmentationSpec
 work = tempfile.mkdtemp(prefix="embedloc-demo-")
 cfg = melfront.MelConfig()
 
-records = corpus.generate_synthetic_corpus(work + "/wav", 48, seed=0)
+records = corpus.generate_synthetic_corpus(
+    work + "/wav", corpus.CorpusConfig(num_tracks=48), cfg.sample_rate_hz, seed=0)
 records = corpus.extract_features(records, cfg, work + "/wav", work + "/feat")
 mels = {r.track_id: corpus.load_track_mel(r, cfg, base_dir=work + "/feat")
         for r in records}
@@ -39,13 +40,13 @@ for name, (_, emb) in embeddings.items():
              locality.key_precision(emb, records, 8),
              locality.tag_precision(emb, records, 8)))
 
-grid = (0.5, 0.707, 1.0, 1.414, 2.0)
+metrics = locality.MetricsConfig(stretch_grid=(0.5, 0.707, 1.0, 1.414, 2.0))
 print("time-stretch sweep, mean embedding distance per factor:")
 test_mels = [mels[r.track_id] for r in records if r.split == "test"]
 for name, (params, _) in embeddings.items():
-    sweep = locality.manipulation_sweep(test_mels, params, "time_stretch",
-                                        grid, window)
-    print("  %-4s %s" % (name, "  ".join("%.3f" % np.mean(sweep[f]) for f in grid)))
+    sweep = locality.manipulation_sweep(test_mels, params, metrics, window)
+    print("  %-4s %s" % (name, "  ".join("%.3f" % np.mean(sweep[f])
+                                         for f in metrics.stretch_grid)))
 print("  (a TS-trained encoder should be flatter: stretched copies stay close)")
 
 # the tempo probe reads BPM back out of the embeddings

@@ -8,6 +8,7 @@ and may not be combined with them; RRC + EQ is allowed.
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,8 +119,14 @@ class AugmentationSpec:
         return int(round(self.output_seconds * config.frames_per_second))
 
     def check_frames(self, config):
-        """Raise ConfigError unless the output has the 2 frames that pooling's
-        differences need and, with TS, the context holds TS's reach at TAU_RANGE[1]."""
+        """Raise ConfigError unless both windows are a finite number of
+        frames, the output has the 2 frames that pooling's differences need
+        and, with TS, the context holds TS's reach at TAU_RANGE[1]."""
+        for name in ("context_seconds", "output_seconds"):
+            if not math.isfinite(getattr(self, name) * config.frames_per_second):
+                raise ConfigError("%s %g is beyond the float range at %g frames/s"
+                                  % (name, getattr(self, name),
+                                     config.frames_per_second))
         out, ctx = self.output_frames(config), self.context_frames(config)
         reach = stretch_frames(ctx, TAU_RANGE[1])
         if out < 2:
@@ -131,11 +138,6 @@ class AugmentationSpec:
                               " stretches to %d; output_seconds %g needs %d"
                               % (self.context_seconds, ctx, TAU_RANGE[1], reach,
                                  self.output_seconds, out))
-
-    def to_dict(self):
-        return {"chain": list(self.chain),
-                "context_seconds": self.context_seconds,
-                "output_seconds": self.output_seconds}
 
 
 # ---------------------------------------------------------------------------

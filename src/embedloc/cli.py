@@ -2,8 +2,10 @@
 
 Subcommands: synth, extract, train, embed, sweep, neighborhood,
 retrieval, probe, report. Configuration is a single JSON document;
---set a.b.c=value overrides any leaf, and every command checks the whole
-config at load (the chain's frames through AugmentationSpec.check_frames).
+--set a.b.c=value overrides any leaf. Every command checks every section
+at load: load_config builds each section into its type (SECTIONS), runs
+the two checks that read two sections, and names the file or --set each
+failing section came from; the commands take the RunConfig it returns.
 Every random draw derives from the one top-level `seed`, which
 EMBEDLOC_SEED overrides; there are no per-section seed keys.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
@@ -12,42 +14,53 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 import argparse
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import tensorio
 from .augment import AugmentationSpec
-from .corpus import (extract_features, generate_synthetic_corpus,
+from .corpus import (CorpusConfig, extract_features, generate_synthetic_corpus,
                      load_track_mel, read_manifest)
 from .embedspace import EmbeddingSet, build_embedding_set
 from .encoder import Mlp, TrainConfig, feature_dim, train, usable_train_tracks
 from .errors import ConfigError, DataError, EmbedlocError, NumericalError
-from .locality import (DEFAULT_PITCH_GRID, DEFAULT_STRETCH_GRID,
-                       compute_neighborhood_report, manipulation_sweep,
-                       tag_precision, tag_retrieval)
+from .locality import (MetricsConfig, compute_neighborhood_report,
+                       manipulation_sweep, tag_precision, tag_retrieval)
 from .melfront import MelConfig
 from .probe import ProbeConfig, acc1_hits, acc2_hits, estimate_tempo, train_probe
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's checked config: the merged document that config_hash
+    hashes, its seed and paths, and each section built into its type."""
+    document: dict
+    seed: int
+    corpus_dir: str
+    output_dir: str
+    corpus: CorpusConfig
+    mel: MelConfig
+    augmentation: AugmentationSpec
+    train: TrainConfig
+    probe: ProbeConfig
+    metrics: MetricsConfig
+
+
+# config section -> the type that holds and checks it: RunConfig's typed sections
+SECTIONS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+
+# each section holds its type's defaults as a JSON document spells them
 DEFAULT_CONFIG = {
     "seed": 0,
     "paths": {"corpus_dir": "corpus", "output_dir": "out"},
-    "corpus": {"num_tracks": 48, "duration_s": 16.0, "test_fraction": 0.25},
-    "mel": asdict(MelConfig()),
-    "augmentation": AugmentationSpec().to_dict(),
-    "train": asdict(TrainConfig()),
-    "probe": asdict(ProbeConfig()),
-    "metrics": {
-        "k_grid": [1, 2, 4, 8],
-        "stretch_grid": list(DEFAULT_STRETCH_GRID),
-        "pitch_grid": list(DEFAULT_PITCH_GRID),
-        "sweep_kind": "time_stretch",
-    },
+    **{name: json.loads(json.dumps(asdict(section())))
+       for name, section in SECTIONS.items()},
 }
 
 
@@ -101,13 +114,9 @@ def _apply_override(config, dotted, raw_value):
     return _merge_known(config, value)
 
 
-def _check_k_grid(k_grid):
-    # a k at or past the embedding set's size is checked against the set
-    if not k_grid or min(k_grid) < 1 or len(set(k_grid)) != len(k_grid):
-        raise ConfigError("metrics.k_grid %s must hold distinct ks >= 1" % k_grid)
-
-
 def load_config(path=None, overrides=()):
+    """The RunConfig of DEFAULT_CONFIG, the file at `path`, the `--set`
+    items `overrides` and EMBEDLOC_SEED, merged in that order."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
@@ -131,78 +140,68 @@ def load_config(path=None, overrides=()):
             config["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
-    # each section is checked whole, so every command rejects it, naming
-    # where it and any section its check reads (mel) were set
-    for sections, check in (
-            (("mel",), lambda: _mel_config(config)),
-            (("augmentation", "mel"),
-             lambda: _aug_spec(config).check_frames(_mel_config(config))),
-            (("train",), lambda: TrainConfig(**config["train"])),
-            (("probe",), lambda: ProbeConfig(**config["probe"])),
-            (("metrics",), lambda: _check_k_grid(config["metrics"]["k_grid"]))):
+
+    def checked(sections, check):
         try:
-            check()
+            return check()
         except ConfigError as exc:
             origin = ([path] if path else []) + [
                 "--set " + item for item in overrides if item.split(".")[0] in sections]
             raise ConfigError("%s from %s: %s" % (sections[0], ", ".join(origin), exc))
-    return config
+
+    run = RunConfig(
+        document=config, seed=config["seed"], **config["paths"],
+        **{name: checked((name,), functools.partial(section, **config[name]))
+           for name, section in SECTIONS.items()})
+    checked(("augmentation", "mel"), lambda: run.augmentation.check_frames(run.mel))
+    checked(("corpus", "mel"), lambda: run.corpus.check_wav(run.mel))
+    return run
 
 
-def config_hash(config):
-    blob = json.dumps(config, sort_keys=True).encode()
+def config_hash(run):
+    blob = json.dumps(run.document, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _provenance(config, **extra):
-    prov = {"config_hash": config_hash(config), "seed": config["seed"],
-            "aug_chain": config["augmentation"]["chain"]}
+def _provenance(run, **extra):
+    prov = {"config_hash": config_hash(run), "seed": run.seed,
+            "aug_chain": list(run.augmentation.chain)}
     prov.update(extra)
     return prov
 
 
-def _mel_config(config):
-    return MelConfig(**config["mel"])
+def _artifact_id(run):
+    return "%s-s%d" % (run.augmentation.chain_id, run.seed)
 
 
-def _aug_spec(config):
-    return AugmentationSpec(**config["augmentation"])
+def _features_dir(run):
+    return os.path.join(run.output_dir, "features")
 
 
-def _artifact_id(config):
-    return "%s-s%d" % (_aug_spec(config).chain_id, config["seed"])
-
-
-def _features_dir(config):
-    return os.path.join(config["paths"]["output_dir"], "features")
-
-
-def _feature_manifest(config):
-    path = os.path.join(_features_dir(config), "manifest.jsonl")
+def _feature_manifest(run):
+    path = os.path.join(_features_dir(run), "manifest.jsonl")
     if not os.path.exists(path):
         raise DataError("feature manifest missing; run `extract` first (%s)" % path)
     return read_manifest(path)
 
 
-def _load_mels(records, config):
+def _load_mels(records, run):
     """The records' spectrograms, loaded one at a time as they are asked
     for, so a caller that walks them once holds one track at a time."""
-    mel_cfg = _mel_config(config)
-    base = _features_dir(config)
-    return (load_track_mel(rec, mel_cfg, base_dir=base) for rec in records)
+    base = _features_dir(run)
+    return (load_track_mel(rec, run.mel, base_dir=base) for rec in records)
 
 
-def _checkpoint_dir(config):
-    return os.path.join(config["paths"]["output_dir"], "checkpoints",
-                        _artifact_id(config))
+def _checkpoint_dir(run):
+    return os.path.join(run.output_dir, "checkpoints", _artifact_id(run))
 
 
-def _load_checkpoint(config):
+def _load_checkpoint(run):
     """The run's encoder parameters, once w1's width is known to be the
     feature_dim of the configured mel bands (one-to-one in the count)."""
-    path = _checkpoint_dir(config)
+    path = _checkpoint_dir(run)
     params = Mlp.load(path, TrainConfig)
-    bands = config["mel"]["num_bands"]
+    bands = run.mel.num_bands
     if params.w1.shape[1] != feature_dim(bands):
         raise DataError(
             "checkpoint %s has w1 %s, but mel.num_bands %d needs feature dim %d"
@@ -210,21 +209,15 @@ def _load_checkpoint(config):
     return params
 
 
-def _embedding_prefix(config):
-    return os.path.join(config["paths"]["output_dir"], "embeddings",
-                        _artifact_id(config))
+def _embedding_prefix(run):
+    return os.path.join(run.output_dir, "embeddings", _artifact_id(run))
 
 
-def _window_frames(config):
-    return _aug_spec(config).output_frames(_mel_config(config))
-
-
-def _write_table(config, name, doc, columns, rows):
+def _write_table(run, name, doc, columns, rows):
     """Write one analysis artifact as `doc` in <output_dir>/<name>-<artifact
     id>.json and as the table `columns`, `rows` beside it in .csv; returns
     that path without its extension."""
-    stem = os.path.join(config["paths"]["output_dir"],
-                        "%s-%s" % (name, _artifact_id(config)))
+    stem = os.path.join(run.output_dir, "%s-%s" % (name, _artifact_id(run)))
     tensorio.write_json(stem + ".json", doc)
     tensorio.write_csv(stem + ".csv", columns, rows)
     return stem
@@ -233,121 +226,109 @@ def _write_table(config, name, doc, columns, rows):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(config):
-    corpus_dir = config["paths"]["corpus_dir"]
-    records = generate_synthetic_corpus(
-        corpus_dir, num_tracks=config["corpus"]["num_tracks"],
-        seed=config["seed"], duration_s=float(config["corpus"]["duration_s"]),
-        sample_rate_hz=config["mel"]["sample_rate_hz"],
-        test_fraction=config["corpus"]["test_fraction"])
-    print("synth: wrote %d tracks to %s" % (len(records), corpus_dir))
+def cmd_synth(run):
+    records = generate_synthetic_corpus(run.corpus_dir, run.corpus,
+                                        run.mel.sample_rate_hz, seed=run.seed)
+    print("synth: wrote %d tracks to %s" % (len(records), run.corpus_dir))
 
 
-def cmd_extract(config):
-    corpus_dir = config["paths"]["corpus_dir"]
-    manifest = os.path.join(corpus_dir, "manifest.jsonl")
+def cmd_extract(run):
+    manifest = os.path.join(run.corpus_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
         raise DataError("corpus manifest missing: %s" % manifest)
     records = read_manifest(manifest)
-    out = extract_features(records, _mel_config(config), corpus_dir,
-                           _features_dir(config))
-    print("extract: wrote %d feature files to %s" % (len(out), _features_dir(config)))
+    out = extract_features(records, run.mel, run.corpus_dir, _features_dir(run))
+    print("extract: wrote %d feature files to %s" % (len(out), _features_dir(run)))
 
 
-def cmd_train(config):
-    records = _feature_manifest(config)
-    spec = _aug_spec(config)
-    train_cfg = TrainConfig(**config["train"])
+def cmd_train(run):
+    records = _feature_manifest(run)
     mels = {mel.source_id: mel for mel in
-            _load_mels(usable_train_tracks(records, spec), config)}
-    params, losses = train(records, mels, spec, train_cfg, seed=config["seed"])
-    ckpt = _checkpoint_dir(config)
-    params.save(ckpt, train_cfg, _provenance(config))
+            _load_mels(usable_train_tracks(records, run.augmentation), run)}
+    params, losses = train(records, mels, run.augmentation, run.train, seed=run.seed)
+    ckpt = _checkpoint_dir(run)
+    params.save(ckpt, run.train, _provenance(run))
     tensorio.write_csv(os.path.join(ckpt, "loss.csv"), ["step", "loss"],
                        enumerate(losses))
     print("train: %d steps, final loss %.4f, checkpoint %s"
           % (len(losses), losses[-1], ckpt))
 
 
-def cmd_embed(config):
-    records = _feature_manifest(config)
-    params = _load_checkpoint(config)
-    mels = _load_mels(records, config)
+def cmd_embed(run):
+    records = _feature_manifest(run)
+    params = _load_checkpoint(run)
+    mels = _load_mels(records, run)
     emb = build_embedding_set(
-        mels, params, _window_frames(config),
-        provenance=_provenance(config, checkpoint=_checkpoint_dir(config)))
-    prefix = _embedding_prefix(config)
+        mels, params, run.augmentation.output_frames(run.mel),
+        provenance=_provenance(run, checkpoint=_checkpoint_dir(run)))
+    prefix = _embedding_prefix(run)
     emb.save(prefix)
     print("embed: %d tracks -> %s.{json,emlt}" % (len(emb), prefix))
 
 
-def cmd_sweep(config):
-    records = _feature_manifest(config)
-    params = _load_checkpoint(config)
-    kind = config["metrics"]["sweep_kind"]
-    grid = (config["metrics"]["stretch_grid"] if kind == "time_stretch"
-            else config["metrics"]["pitch_grid"])
+def cmd_sweep(run):
+    records = _feature_manifest(run)
+    params = _load_checkpoint(run)
+    kind = run.metrics.sweep_kind
     test = [r for r in records if r.split == "test"] or records
-    distances = manipulation_sweep(_load_mels(test, config), params, kind, grid,
-                                   _window_frames(config))
+    distances = manipulation_sweep(_load_mels(test, run), params, run.metrics,
+                                   run.augmentation.output_frames(run.mel))
     rows = []
     for f, d in distances.items():
         lo, hi = np.percentile(d, [25, 75])
         rows.append({"factor": f, "mean": float(np.mean(d)), "iqr": float(hi - lo),
                      "distances": [float(x) for x in d]})
     stem = _write_table(
-        config, "sweep-%s" % kind,
+        run, "sweep-%s" % kind,
         {"kind": kind, "factors": list(distances),
-         "provenance": _provenance(config, sweep_kind=kind), "rows": rows},
+         "provenance": _provenance(run, sweep_kind=kind), "rows": rows},
         ["factor", "mean_distance", "iqr"],
         [[row["factor"], row["mean"], row["iqr"]] for row in rows])
-    print("sweep: %s over %d factors -> %s.{json,csv}" % (kind, len(grid), stem))
+    print("sweep: %s over %d factors -> %s.{json,csv}" % (kind, len(distances), stem))
 
 
-def _load_embeddings(config):
-    prefix = _embedding_prefix(config)
+def _load_embeddings(run):
+    prefix = _embedding_prefix(run)
     if not os.path.exists(prefix + ".json"):
         raise DataError("embedding set missing; run `embed` first (%s)" % prefix)
     return EmbeddingSet.load(prefix)
 
 
-def cmd_neighborhood(config):
-    records = _feature_manifest(config)
-    emb = _load_embeddings(config)
-    k_grid = config["metrics"]["k_grid"]
+def cmd_neighborhood(run):
+    records = _feature_manifest(run)
+    emb = _load_embeddings(run)
+    k_grid = list(run.metrics.k_grid)
     report = compute_neighborhood_report(emb, records, k_grid)
-    doc = {"k_grid": list(k_grid), "provenance": _provenance(config)}
+    doc = {"k_grid": k_grid, "provenance": _provenance(run)}
     doc.update((m, {str(k): v for k, v in by_k.items()}) for m, by_k in report.items())
-    stem = _write_table(config, "neighborhood", doc, ["k"] + list(report),
+    stem = _write_table(run, "neighborhood", doc, ["k"] + list(report),
                         [[k] + [by_k[k] for by_k in report.values()] for k in k_grid])
     print("neighborhood: k grid %s -> %s.{json,csv}" % (k_grid, stem))
 
 
-def cmd_retrieval(config):
-    records = _feature_manifest(config)
-    emb = _load_embeddings(config)
-    k_grid = config["metrics"]["k_grid"]
+def cmd_retrieval(run):
+    records = _feature_manifest(run)
+    emb = _load_embeddings(run)
+    k_grid = list(run.metrics.k_grid)
     rows = [{"k": k, "tag_precision": tag_precision(emb, records, k),
              "tag_retrieval": tag_retrieval(emb, records, k)} for k in k_grid]
     columns = ["k", "tag_precision", "tag_retrieval"]
-    stem = _write_table(config, "retrieval", {"provenance": _provenance(config),
-                                              "rows": rows},
+    stem = _write_table(run, "retrieval", {"provenance": _provenance(run),
+                                           "rows": rows},
                         columns, [[row[c] for c in columns] for row in rows])
     print("retrieval: k grid %s -> %s.{json,csv}" % (k_grid, stem))
 
 
-def cmd_probe(config):
-    records = _feature_manifest(config)
-    emb = _load_embeddings(config)
-    probe_cfg = ProbeConfig(**config["probe"])
-    model, losses = train_probe(emb, records, probe_cfg, seed=config["seed"])
-    out = config["paths"]["output_dir"]
-    probe_dir = os.path.join(out, "probe-%s" % _artifact_id(config))
+def cmd_probe(run):
+    records = _feature_manifest(run)
+    emb = _load_embeddings(run)
+    model, losses = train_probe(emb, records, run.probe, seed=run.seed)
+    probe_dir = os.path.join(run.output_dir, "probe-%s" % _artifact_id(run))
     # a former run's evaluation must not outlive the weights it scored
     for name in ("summary.json", "eval.csv"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(probe_dir, name))
-    model.save(probe_dir, probe_cfg, _provenance(config))
+    model.save(probe_dir, run.probe, _provenance(run))
     test = [r for r in records if r.split == "test" and r.bpm is not None]
     rows = []
     for rec in test:
@@ -364,7 +345,7 @@ def cmd_probe(config):
         tensorio.write_csv(os.path.join(probe_dir, "eval.csv"), columns,
                            [[row[c] for c in columns] for row in rows])
         tensorio.write_json(os.path.join(probe_dir, "summary.json"), {
-            "provenance": _provenance(config), "acc1": a1, "acc2": a2,
+            "provenance": _provenance(run), "acc1": a1, "acc2": a2,
             "num_test_tracks": len(rows)})
         print("probe: acc1=%.3f acc2=%.3f over %d test tracks -> %s"
               % (a1, a2, len(rows), probe_dir))
@@ -372,9 +353,9 @@ def cmd_probe(config):
         print("probe: trained (no labeled test tracks to evaluate) -> %s" % probe_dir)
 
 
-def cmd_report(config):
-    out = config["paths"]["output_dir"]
-    merged = {"config_hash": config_hash(config), "seed": config["seed"],
+def cmd_report(run):
+    out = run.output_dir
+    merged = {"config_hash": config_hash(run), "seed": run.seed,
               "artifacts": {}, "probes": {}}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
         path = os.path.join(out, name)
@@ -420,8 +401,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = load_config(args.config, args.overrides)
-        COMMANDS[args.command](config)
+        run = load_config(args.config, args.overrides)
+        COMMANDS[args.command](run)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -296,24 +296,39 @@ def synthesize_track(bpm, key_label, timbre, duration_s, rate, rng):
     return signal
 
 
-def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
-                              sample_rate_hz=16000, test_fraction=0.25):
-    """Emit WAV files plus a manifest with ground-truth BPM, key and tags.
+@dataclass(frozen=True)
+class CorpusConfig:
+    """Track count, track length, and the chance of a test-split track."""
+    num_tracks: int = 48
+    duration_s: float = 16.0
+    test_fraction: float = 0.25
+
+    def __post_init__(self):
+        if self.num_tracks < 1:
+            raise ConfigError("num_tracks must be at least 1, got %d" % self.num_tracks)
+        if not 0.0 <= self.test_fraction <= 1.0:
+            raise ConfigError("test_fraction must be in [0, 1], got %g"
+                              % self.test_fraction)
+
+    def check_wav(self, mel: MelConfig):
+        """Raise ConfigError unless a 16-bit mono WAV holds a track at mel's rate."""
+        rate = mel.sample_rate_hz
+        if rate > WAV_MAX_RATE_HZ:
+            raise ConfigError("mel.sample_rate_hz must be at most %d for a WAV, got %d"
+                              % (WAV_MAX_RATE_HZ, rate))
+        # a track has round(duration_s * rate) samples
+        if not 0.5 < self.duration_s * rate < WAV_MAX_SAMPLES + 0.5:
+            raise ConfigError("corpus.duration_s must give 1 to %d samples, got %g s"
+                              " at %d Hz" % (WAV_MAX_SAMPLES, self.duration_s, rate))
+
+
+def generate_synthetic_corpus(out_dir, config: CorpusConfig, sample_rate_hz, *, seed):
+    """Emit WAV files plus a manifest with ground-truth BPM, key and tags,
+    at a rate for which config.check_wav holds.
 
     BPM values cycle through an integer grid in [60, 180]; keys cycle
     through all 24 labels; timbre families alternate.
     """
-    if num_tracks < 1:
-        raise ConfigError("num_tracks must be at least 1, got %d" % num_tracks)
-    if not 0.0 <= test_fraction <= 1.0:
-        raise ConfigError("test_fraction must be in [0, 1], got %g" % test_fraction)
-    if sample_rate_hz > WAV_MAX_RATE_HZ:
-        raise ConfigError("mel.sample_rate_hz must be at most %d for a WAV, got %d"
-                          % (WAV_MAX_RATE_HZ, sample_rate_hz))
-    # a track has round(duration_s * sample_rate_hz) samples
-    if not 0.5 < duration_s * sample_rate_hz < WAV_MAX_SAMPLES + 0.5:
-        raise ConfigError("corpus.duration_s must give 1 to %d samples, got %g s at"
-                          " %d Hz" % (WAV_MAX_SAMPLES, duration_s, sample_rate_hz))
     rng = derive_rng(seed, "corpus")
     os.makedirs(out_dir, exist_ok=True)
     bpm_grid = np.linspace(60, 180, 25).round().astype(int)
@@ -327,17 +342,17 @@ def generate_synthetic_corpus(out_dir, num_tracks, seed=0, duration_s=16.0,
         timbre = TIMBRE_TAGS[i % len(TIMBRE_TAGS)]
         density = "dense-rhythm" if bpm >= 120 else "sparse-rhythm"
         track_rng = derive_rng(seed, "track", i)
-        pcm = synthesize_track(bpm, key, timbre, duration_s, sample_rate_hz,
+        pcm = synthesize_track(bpm, key, timbre, config.duration_s, sample_rate_hz,
                                track_rng)
         track_id = "synth-%04d" % i
         wav_name = track_id + ".wav"
         write_pcm_wav(os.path.join(out_dir, wav_name), pcm, sample_rate_hz)
-        split = "test" if track_rng.uniform() < test_fraction else "train"
+        split = "test" if track_rng.uniform() < config.test_fraction else "train"
         return TrackRecord(
-            track_id=track_id, feature_path=wav_name, duration_s=duration_s,
+            track_id=track_id, feature_path=wav_name, duration_s=config.duration_s,
             bpm=float(bpm), key_label=key, tags=(timbre, density), split=split)
 
-    records = map_tracks(synthesize, range(num_tracks))
+    records = map_tracks(synthesize, range(config.num_tracks))
     write_manifest(os.path.join(out_dir, "manifest.jsonl"), records)
     return records
 

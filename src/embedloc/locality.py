@@ -1,6 +1,8 @@
 """Embedding-space locality experiments: manipulation sweeps and
 neighborhood metrics (tempo RMMS, key precision, tag precision, tag
-retrieval)."""
+retrieval), and the MetricsConfig that holds their grids."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,8 +12,8 @@ from .errors import ConfigError, DataError
 
 TEMPO_OCTAVES = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0)
 
-DEFAULT_STRETCH_GRID = tuple(2.0 ** (i / 8.0) for i in range(-8, 9))
-DEFAULT_PITCH_GRID = tuple(range(-12, 13))   # semitones
+# sweep kind -> (the field holding its grid, its identity factor)
+SWEEPS = {"time_stretch": ("stretch_grid", 1.0), "pitch_shift": ("pitch_grid", 0.0)}
 
 
 def _manipulation(kind, f):
@@ -25,25 +27,51 @@ def _manipulation(kind, f):
         raise ConfigError("%s sweep factor %r: %s" % (kind, f, exc)) from None
 
 
-def manipulation_sweep(mels, params, kind, grid, window_frames):
+@dataclass(frozen=True)
+class MetricsConfig:
+    """The metrics' k grid, and the sweep's kind and grid of each kind
+    (stretch ratios; semitone offsets), both checked whichever kind runs."""
+    k_grid: tuple = (1, 2, 4, 8)
+    stretch_grid: tuple = tuple(2.0 ** (i / 8.0) for i in range(-8, 9))
+    pitch_grid: tuple = tuple(range(-12, 13))
+    sweep_kind: str = "time_stretch"
+
+    def __post_init__(self):
+        # a k at or past the embedding set's size is checked against the set
+        k_grid = list(self.k_grid)
+        if not k_grid or min(k_grid) < 1 or len(set(k_grid)) != len(k_grid):
+            raise ConfigError("metrics.k_grid %s must hold distinct ks >= 1" % k_grid)
+        if self.sweep_kind not in SWEEPS:
+            raise ConfigError("unknown sweep kind %r" % self.sweep_kind)
+        for kind, (name, identity) in SWEEPS.items():
+            grid = list(getattr(self, name))
+            for f in grid:
+                _manipulation(kind, f)
+            # np.isclose(f, identity) with its default tolerances
+            if not any(abs(f - identity) <= 1e-08 + 1e-05 * identity for f in grid):
+                raise ConfigError("%s %s must contain the identity factor %g"
+                                  % (name, grid, identity))
+            if len(set(grid)) < len(grid):
+                raise ConfigError("%s %s repeats a factor" % (name, grid))
+        for name in ("k_grid", "stretch_grid", "pitch_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @property
+    def sweep_grid(self):
+        return getattr(self, SWEEPS[self.sweep_kind][0])
+
+
+def manipulation_sweep(mels, params, metrics: MetricsConfig, window_frames):
     """{factor: [per-track cosine distance]} between track-average
-    embeddings of modified and unmodified tracks, in grid order. `mels`
-    is any iterable of MelSpectrograms, walked once: each track is
-    embedded, then each of its modified versions.
+    embeddings of modified and unmodified tracks, over metrics.sweep_grid
+    in order. `mels` is any iterable of MelSpectrograms, walked once: each
+    track is embedded, then each of its modified versions.
 
     kind "time_stretch": factors are stretch ratios; "pitch_shift":
     factors are semitone offsets.
     """
-    if kind not in ("time_stretch", "pitch_shift"):
-        raise ConfigError("unknown sweep kind %r" % kind)
-    # every factor is checked before any track is read
-    manipulations = [_manipulation(kind, f) for f in grid]
-    identity = 1.0 if kind == "time_stretch" else 0.0
-    if not any(np.isclose(f, identity) for f in grid):
-        raise ConfigError("sweep grid must contain the identity factor")
-    if len(set(grid)) < len(grid):
-        raise ConfigError("sweep grid %s repeats a factor" % list(grid))
-
+    grid = metrics.sweep_grid
+    manipulations = [_manipulation(metrics.sweep_kind, f) for f in grid]
     distances = {f: [] for f in grid}
     for mel in mels:
         base = embed_track(mel, params, window_frames)

@@ -4,10 +4,18 @@ Band centers are uniformly spaced on the HTK mel scale,
 mel(f) = 2595 * log10(1 + f/700), from 0 Hz to half the sample rate.
 Triangular bands are stored with unit peak (no area normalization);
 consumers that need normalized rows divide by the row sum.
+MelConfig checks itself when built, so every CLI command rejects a bad
+mel section at load. Its band rule costs O(1): every band holds a DFT
+bin iff the bin spacing sample_rate_hz / dft_size lies below band 0's
+upper edge as np.linspace gives it, mel_to_hz(2 * (hz_to_mel(
+sample_rate_hz / 2) / (num_bands + 1))). Band 0 is the narrowest band,
+because mel_to_hz is convex. The edge lies below sample_rate_hz / 2, so
+the rule also holds dft_size >= 2, which a second bin needs.
 """
 
 import functools
 import os
+import sys
 import wave
 from dataclasses import dataclass
 
@@ -68,6 +76,16 @@ class MelConfig:
             raise ConfigError("unsupported window_kind %r" % self.window_kind)
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
+        # the frame rate and the band rule are computed in floats
+        if max(self.sample_rate_hz, self.num_bands) > sys.float_info.max:
+            raise ConfigError("sample_rate_hz and num_bands must be at most %g"
+                              % sys.float_info.max)
+        # band 0's upper edge, where np.linspace puts it (the module's band rule)
+        top = mel_to_hz(2 * (hz_to_mel(self.sample_rate_hz / 2.0) / (self.num_bands + 1)))
+        if not self.sample_rate_hz / self.dft_size < top:
+            raise ConfigError("mel band 0 is empty: too many bands (%d) for dft_size=%d"
+                              " at sample_rate_hz=%d"
+                              % (self.num_bands, self.dft_size, self.sample_rate_hz))
 
     @property
     def frames_per_second(self):
@@ -138,7 +156,8 @@ def band_grid_mel(config):
 @functools.lru_cache(maxsize=8)
 def build_filterbank(config: MelConfig) -> MelFilterbank:
     """Triangular mel filterbank; adjacent triangles cross at 50% height.
-    Built once per config and returned as read-only arrays."""
+    Built once per config and returned as read-only arrays. MelConfig's
+    band rule guarantees that every band holds a bin."""
     n_bins = config.dft_size // 2 + 1
     bin_hz = np.arange(n_bins) * config.sample_rate_hz / config.dft_size
     edges_hz = mel_to_hz(band_grid_mel(config))
@@ -149,10 +168,6 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
         rising = (bin_hz - lo) / (ctr - lo)
         falling = (hi - bin_hz) / (hi - ctr)
         weights[u] = np.clip(np.minimum(rising, falling), 0.0, None)
-        if not np.any(weights[u] > 0):
-            raise ConfigError(
-                "mel band %d is empty: too many bands for dft_size=%d at "
-                "sample_rate_hz=%d" % (u, config.dft_size, config.sample_rate_hz))
     groups = []
     for a in range(0, config.num_bands, BAND_GROUP):
         bands = slice(a, min(a + BAND_GROUP, config.num_bands))

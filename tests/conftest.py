@@ -31,7 +31,8 @@ def small_corpus(corpus_dir, mel_config):
     the slower tests. Returns (records, {track_id: MelSpectrogram})."""
     wav_dir = str(corpus_dir / "wav")
     feat_dir = str(corpus_dir / "feat")
-    records = corpus.generate_synthetic_corpus(wav_dir, 72, seed=7)
+    records = corpus.generate_synthetic_corpus(
+        wav_dir, corpus.CorpusConfig(num_tracks=72), mel_config.sample_rate_hz, seed=7)
     records = corpus.extract_features(records, mel_config, wav_dir, feat_dir)
     mels = {r.track_id: corpus.load_track_mel(r, mel_config, base_dir=feat_dir)
             for r in records}

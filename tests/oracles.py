@@ -9,7 +9,7 @@ references in tests. No module of the package imports them.
 
 import numpy as np
 
-from embedloc.melfront import band_grid_mel, mel_to_hz
+from embedloc.melfront import band_grid_mel, hz_to_mel, mel_to_hz
 
 C4_HZ = 261.6255653005986
 
@@ -88,3 +88,20 @@ def envelope_period(mel):
     ac = np.correlate(env, env, mode="full")[len(env) - 1:]
     lo = 5
     return lo + int(np.argmax(ac[lo:len(ac) // 2]))
+
+
+def first_empty_band(sample_rate_hz, dft_size, num_bands):
+    """Reference for MelConfig's band rule: the first band in which the
+    triangular filterbank, built band by band as melfront builds it, holds
+    no bin, or None if every band holds one."""
+    n_bins = dft_size // 2 + 1
+    bin_hz = np.arange(n_bins) * sample_rate_hz / dft_size
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate_hz / 2.0),
+                                      num_bands + 2))
+    for u in range(num_bands):
+        lo, ctr, hi = edges_hz[u], edges_hz[u + 1], edges_hz[u + 2]
+        rising = (bin_hz - lo) / (ctr - lo)
+        falling = (hi - bin_hz) / (hi - ctr)
+        if not np.any(np.clip(np.minimum(rising, falling), 0.0, None) > 0):
+            return u
+    return None

@@ -316,12 +316,11 @@ def test_criterion_09_key_and_sweep_direction(trained_models):
     for seed in SEEDS:
         key_none = locality.key_precision(models[("none", seed)][1], records, 8)
         key_ps = locality.key_precision(models[("PS", seed)][1], records, 8)
+        metrics = locality.MetricsConfig(stretch_grid=SWEEP_GRID)
         sweep_none = locality.manipulation_sweep(
-            mel_list, models[("none", seed)][0], "time_stretch",
-            SWEEP_GRID, window)
+            mel_list, models[("none", seed)][0], metrics, window)
         sweep_ts = locality.manipulation_sweep(
-            mel_list, models[("TS", seed)][0], "time_stretch",
-            SWEEP_GRID, window)
+            mel_list, models[("TS", seed)][0], metrics, window)
         flat = all(np.mean(sweep_ts[f]) <= np.mean(sweep_none[f])
                    for f in SWEEP_GRID if not np.isclose(f, 1.0))
         ok = key_ps < key_none and flat

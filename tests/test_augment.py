@@ -408,9 +408,9 @@ def test_time_stretch_matches_cubic_spline_oracle(tau):
 
 
 def test_full_track_stretch_matches_oracle_over_sweep_grid():
-    from embedloc.locality import DEFAULT_STRETCH_GRID
+    from embedloc.locality import MetricsConfig
     x = random_mel(np.random.default_rng(31), frames=1600)
-    for tau in DEFAULT_STRETCH_GRID:
+    for tau in MetricsConfig().stretch_grid:
         out = augment.time_stretch(x, TimeStretchParams(tau=tau))
         ref = spline_oracle(x.values, tau * np.arange(out.num_frames), axis=1)
         assert out.num_frames == int(np.floor(1599 / tau)) + 1

@@ -19,22 +19,23 @@ def run(args, env=None, monkeypatch=None):
 
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg = cli.load_config()
-    assert cfg["seed"] == 0
-    assert cfg["mel"]["num_bands"] == 96
+    assert cfg.seed == 0
+    assert cfg.mel.num_bands == 96
     cfg = cli.load_config(overrides=["seed=7", "train.peak_lr=0.01",
                                      'augmentation.chain=["TS"]'])
-    assert cfg["seed"] == 7
-    assert cfg["train"]["peak_lr"] == 0.01
-    assert cfg["augmentation"]["chain"] == ["TS"]
+    assert cfg.seed == 7
+    assert cfg.train.peak_lr == 0.01
+    assert cfg.augmentation.chain == ("TS",)
+    assert cfg.document["augmentation"]["chain"] == ["TS"]
 
 
 def test_load_config_file_merge(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 3, "train": {"total_steps": 1200}}))
     cfg = cli.load_config(str(path))
-    assert cfg["seed"] == 3
-    assert cfg["train"]["total_steps"] == 1200
-    assert cfg["train"]["peak_lr"] == cli.DEFAULT_CONFIG["train"]["peak_lr"]
+    assert cfg.seed == 3
+    assert cfg.train.total_steps == 1200
+    assert cfg.train.peak_lr == cli.DEFAULT_CONFIG["train"]["peak_lr"]
 
 
 def test_load_config_errors(tmp_path):
@@ -53,7 +54,7 @@ def test_load_config_errors(tmp_path):
 
 def test_env_seed_override(monkeypatch):
     monkeypatch.setenv("EMBEDLOC_SEED", "42")
-    assert cli.load_config()["seed"] == 42
+    assert cli.load_config().seed == 42
     monkeypatch.setenv("EMBEDLOC_SEED", "nope")
     from embedloc.errors import ConfigError
     with pytest.raises(ConfigError):
@@ -122,7 +123,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     for set_dir, section in (("checkpoints/TS-s0", "train"), ("probe-TS-s0", "probe")):
         header = json.loads((outdir / set_dir / "header.json").read_text())
         assert list(header) == ["tensors", "config", "provenance"]
-        assert header["config"] == config[section]
+        assert header["config"] == config.document[section]
         assert header["provenance"] == report["artifacts"][
             "retrieval-TS-s0.json"]["provenance"]
 
@@ -290,12 +291,12 @@ def test_override_int_beyond_the_digit_limit_exits_2(capsys):
 
 def test_int_config_leaf_may_replace_a_float(tmp_path):
     cfg = cli.load_config(overrides=["corpus.duration_s=12", "train.peak_lr=1"])
-    assert cfg["corpus"]["duration_s"] == 12 and cfg["train"]["peak_lr"] == 1
+    assert cfg.corpus.duration_s == 12 and cfg.train.peak_lr == 1
     # an override is checked against the schema, not the int it replaces
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"train": {"peak_lr": 1}}))
     cfg = cli.load_config(str(path), overrides=["train.peak_lr=0.5"])
-    assert cfg["train"]["peak_lr"] == 0.5
+    assert cfg.train.peak_lr == 0.5
 
 
 @pytest.mark.parametrize("leaf,value", [("num_tracks", 0), ("num_tracks", -1),
@@ -319,15 +320,15 @@ def test_synth_of_no_tracks_or_a_bad_split_exits_2(tmp_path, capsys, leaf, value
     assert not corpus_dir.exists()
 
 
-def test_synth_at_the_wav_limits_passes_the_checks(tmp_path, monkeypatch):
-    # the largest rate and track a WAV holds get as far as synthesis,
-    # which is left out here
-    from embedloc import corpus
+def test_synth_at_the_wav_limits_passes_the_checks():
+    # the largest rate and track a WAV holds load; two bands keep the
+    # largest rate's bin spacing inside band 0
     from embedloc.corpus import WAV_MAX_RATE_HZ, WAV_MAX_SAMPLES
-    monkeypatch.setattr(corpus, "map_tracks", lambda fn, items: [])
     for rate, duration in ((WAV_MAX_RATE_HZ, 1e-6), (16000, WAV_MAX_SAMPLES / 16000)):
-        assert corpus.generate_synthetic_corpus(
-            tmp_path, 1, duration_s=duration, sample_rate_hz=rate) == []
+        run = cli.load_config(overrides=[
+            "mel.sample_rate_hz=%d" % rate, "mel.num_bands=2",
+            "corpus.duration_s=%r" % duration])
+        assert (run.mel.sample_rate_hz, run.corpus.duration_s) == (rate, duration)
 
 
 @pytest.mark.parametrize("value", [0, -5])
@@ -541,7 +542,8 @@ def test_analysis_artifacts_hold_the_library_values(tmp_path, capsys):
     assert doc["kind"] == "time_stretch" and doc["factors"] == [0.8, 1.0, 1.25]
     assert doc["provenance"] == cli._provenance(config, sweep_kind="time_stretch")
     assert lines[0] == ["factor", "mean_distance", "iqr"] and len(lines) == 4
-    params, window = cli._load_checkpoint(config), cli._window_frames(config)
+    params = cli._load_checkpoint(config)
+    window = config.augmentation.output_frames(config.mel)
     mels = list(cli._load_mels(records, config))
     for f, row, line in zip(doc["factors"], doc["rows"], lines[1:]):
         assert list(row) == ["factor", "mean", "iqr", "distances"] and row["factor"] == f
@@ -905,6 +907,37 @@ def test_k_grid_of_no_valid_ks_exits_2_naming_it(tmp_path, capsys, k_grid):
             "config error: metrics from --set metrics.k_grid=%s: metrics.k_grid %s"
             " must hold distinct ks >= 1\n" % (k_grid, json.loads(k_grid)))
     assert not list((tmp_path / "out").glob("*.json"))
+
+
+# (the section named, a --set item that section's checks reject)
+LOAD_RULES = [
+    ("metrics", 'metrics.sweep_kind="bogus"'),
+    ("metrics", "metrics.stretch_grid=[]"),
+    ("metrics", "metrics.stretch_grid=[1.0,1.0]"),
+    ("metrics", "metrics.pitch_grid=[2]"),
+    ("corpus", "corpus.num_tracks=0"),
+    ("corpus", "corpus.test_fraction=7"),
+    ("mel", "mel.num_bands=500"),
+    ("mel", "mel.num_bands=100000000000"),
+    # each of these two ended in an OverflowError traceback
+    ("augmentation", "augmentation.context_seconds=1e308"),
+    ("mel", "mel.sample_rate_hz=1" + "0" * 400),
+]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("section,item", LOAD_RULES,
+                         ids=[item[:32] for _, item in LOAD_RULES])
+def test_every_command_checks_every_section_at_load(tmp_path, capsys, command,
+                                                    section, item):
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    assert cli.main([command, "--set", item,
+                     "--set", 'paths.corpus_dir="%s"' % corpus_dir,
+                     "--set", 'paths.output_dir="%s"' % out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s from --set %s: " % (section, item))
+    assert "Traceback" not in err
+    assert not corpus_dir.exists() and not out.exists()
 
 
 def test_k_at_the_set_size_stays_a_data_error(tmp_path, capsys):

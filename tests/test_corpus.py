@@ -98,8 +98,9 @@ def test_pair_offsets_past_the_track_clamp_to_its_last_window():
 
 
 def test_corpus_coverage(tmp_path):
-    records = corpus.generate_synthetic_corpus(str(tmp_path), 200, seed=11,
-                                               duration_s=2.0)
+    records = corpus.generate_synthetic_corpus(
+        str(tmp_path), corpus.CorpusConfig(num_tracks=200, duration_s=2.0), 16000,
+        seed=11)
     assert len(records) == 200
     keys = {r.key_label for r in records}
     bpms = {r.bpm for r in records}
@@ -127,8 +128,9 @@ def test_labels_recoverable_by_signal_oracles(small_corpus):
 def test_extract_features_roundtrip(tmp_path, mel_config):
     wav_dir = str(tmp_path / "wav")
     feat_dir = str(tmp_path / "feat")
-    records = corpus.generate_synthetic_corpus(wav_dir, 3, seed=5,
-                                               duration_s=2.0)
+    records = corpus.generate_synthetic_corpus(
+        wav_dir, corpus.CorpusConfig(num_tracks=3, duration_s=2.0),
+        mel_config.sample_rate_hz, seed=5)
     out = corpus.extract_features(records, mel_config, wav_dir, feat_dir)
     assert all(r.feature_path.endswith(".emlt") for r in out)
     direct = corpus.load_track_mel(records[0], mel_config, base_dir=wav_dir)
@@ -315,7 +317,9 @@ def test_synth_wavs_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_extract_features_do_not_depend_on_blas_threads(tmp_path):
-    corpus.generate_synthetic_corpus(str(tmp_path / "wav"), 6, seed=3, duration_s=4)
+    corpus.generate_synthetic_corpus(
+        str(tmp_path / "wav"), corpus.CorpusConfig(num_tracks=6, duration_s=4), 16000,
+        seed=3)
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -377,7 +381,8 @@ def test_threaded_synth_and_extract_match_a_serial_loop(tmp_path, mel_config,
     sys.setswitchinterval(1e-6)
     try:
         threaded = corpus.generate_synthetic_corpus(
-            str(tmp_path / "wav"), 12, seed=4, duration_s=2.5)
+            str(tmp_path / "wav"), corpus.CorpusConfig(num_tracks=12, duration_s=2.5),
+            16000, seed=4)
         corpus.extract_features(threaded, mel_config, str(tmp_path / "wav"),
                                 str(tmp_path / "feat"))
     finally:

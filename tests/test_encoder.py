@@ -16,7 +16,7 @@ from embedloc.corpus import TrackRecord, sample_pair
 from embedloc.embedspace import build_embedding_set
 from embedloc.encoder import Mlp, TrainConfig, feature_dim
 from embedloc.errors import ConfigError, DataError
-from embedloc.locality import manipulation_sweep
+from embedloc.locality import MetricsConfig, manipulation_sweep
 
 
 def unit_rows(arr):
@@ -377,9 +377,10 @@ def test_float32_stored_tracks_give_the_float64_bits(random_tracks, mel_config,
         assert tensor.tobytes() == ref_params.tensors()[name].tobytes()
 
     window = spec.output_frames(mel_config)
-    for kind, grid in (("time_stretch", (0.8, 1.0, 1.25)), ("pitch_shift", (-3, 0, 2))):
-        assert (manipulation_sweep(stored.values(), params, kind, grid, window)
-                == manipulation_sweep(held.values(), params, kind, grid, window))
+    for metrics in (MetricsConfig(stretch_grid=(0.8, 1.0, 1.25)),
+                    MetricsConfig(sweep_kind="pitch_shift", pitch_grid=(-3, 0, 2))):
+        assert (manipulation_sweep(stored.values(), params, metrics, window)
+                == manipulation_sweep(held.values(), params, metrics, window))
     got = build_embedding_set(stored.values(), params, window)
     want = build_embedding_set(held.values(), params, window)
     assert got.ids == want.ids and got.matrix.tobytes() == want.matrix.tobytes()

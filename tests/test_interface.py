@@ -73,7 +73,8 @@ def test_apply_chain_needs_an_rng():
     assert rng.default is inspect.Parameter.empty
 
 
-@pytest.mark.parametrize("fn", [encoder.train, probe.train_probe])
+@pytest.mark.parametrize("fn", [encoder.train, probe.train_probe,
+                                corpus.generate_synthetic_corpus])
 def test_training_needs_the_runs_seed_by_keyword(fn):
     seed = inspect.signature(fn).parameters["seed"]
     assert seed.kind is inspect.Parameter.KEYWORD_ONLY
@@ -84,6 +85,21 @@ def test_config_sections_are_the_training_configs_fields():
     from embedloc import cli
     assert cli.DEFAULT_CONFIG["train"] == asdict(encoder.TrainConfig())
     assert cli.DEFAULT_CONFIG["probe"] == asdict(probe.ProbeConfig())
+    assert cli.DEFAULT_CONFIG["mel"] == asdict(melfront.MelConfig())
+    # the sections whose defaults were once written out by hand keep them
+    assert cli.DEFAULT_CONFIG["corpus"] == {
+        "num_tracks": 48, "duration_s": 16.0, "test_fraction": 0.25}
+    assert cli.DEFAULT_CONFIG["augmentation"] == {
+        "chain": [], "context_seconds": 4.5, "output_seconds": 3.0}
+    assert cli.DEFAULT_CONFIG["metrics"] == {
+        "k_grid": [1, 2, 4, 8],
+        "stretch_grid": [2.0 ** (i / 8.0) for i in range(-8, 9)],
+        "pitch_grid": list(range(-12, 13)), "sweep_kind": "time_stretch"}
+    # the defaults load as each section's type built with no arguments
+    run = cli.load_config()
+    assert list(cli.DEFAULT_CONFIG) == ["seed", "paths"] + list(cli.SECTIONS)
+    for name, section in cli.SECTIONS.items():
+        assert getattr(run, name) == section()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from embedloc import cli, corpus, embedspace, encoder, locality, melfront
 from embedloc.embedspace import EmbeddingSet
 from embedloc.errors import ConfigError, DataError
+from embedloc.locality import MetricsConfig
 
 
 def unit_rows(arr):
@@ -225,31 +226,33 @@ def sweep_inputs():
 
 def test_sweep_identity_factor_is_zero(sweep_inputs):
     _, params, mels = sweep_inputs
-    res = locality.manipulation_sweep(mels, params, "time_stretch",
-                                      (0.8, 1.0, 1.25), 300)
+    res = locality.manipulation_sweep(
+        mels, params, MetricsConfig(stretch_grid=(0.8, 1.0, 1.25)), 300)
     assert list(res) == [0.8, 1.0, 1.25]
     assert np.mean(res[1.0]) == pytest.approx(0.0, abs=1e-9)
     for f in (0.8, 1.25):
         lo, hi = np.percentile(res[f], [25, 75])
         assert np.mean(res[f]) >= 0.0
         assert hi - lo >= 0.0
-    res = locality.manipulation_sweep(mels, params, "pitch_shift",
-                                      (-2, 0, 2), 300)
+    res = locality.manipulation_sweep(
+        mels, params, MetricsConfig(sweep_kind="pitch_shift", pitch_grid=(-2, 0, 2)), 300)
     assert np.mean(res[0]) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_sweep_grid_must_contain_identity(sweep_inputs):
-    _, params, mels = sweep_inputs
-    with pytest.raises(ConfigError):
-        locality.manipulation_sweep(mels, params, "time_stretch", (0.8, 1.25), 300)
-    with pytest.raises(ConfigError):
-        locality.manipulation_sweep(mels, params, "pitch_shift", (-2, 2), 300)
-    with pytest.raises(ConfigError):
-        locality.manipulation_sweep(mels, params, "volume", (1.0,), 300)
+def test_sweep_grid_must_contain_identity():
+    with pytest.raises(ConfigError, match="stretch_grid .* identity factor 1"):
+        MetricsConfig(stretch_grid=(0.8, 1.25))
+    with pytest.raises(ConfigError, match="pitch_grid .* identity factor 0"):
+        MetricsConfig(sweep_kind="pitch_shift", pitch_grid=(-2, 2))
+    with pytest.raises(ConfigError, match="unknown sweep kind 'volume'"):
+        MetricsConfig(sweep_kind="volume", stretch_grid=(1.0,))
     with pytest.raises(ConfigError, match="repeats a factor"):
-        locality.manipulation_sweep(mels, params, "time_stretch", (1.0, 1.0, 1.25), 300)
+        MetricsConfig(stretch_grid=(1.0, 1.0, 1.25))
     with pytest.raises(ConfigError, match="repeats a factor"):
-        locality.manipulation_sweep(mels, params, "pitch_shift", (0, 0, 2), 300)
+        MetricsConfig(sweep_kind="pitch_shift", pitch_grid=(0, 0, 2))
+    # both grids are checked, whichever kind the sweep runs
+    with pytest.raises(ConfigError, match="pitch_grid"):
+        MetricsConfig(pitch_grid=(2,))
 
 
 @pytest.mark.parametrize("kind,factor,reason", [
@@ -259,25 +262,20 @@ def test_sweep_grid_must_contain_identity(sweep_inputs):
     ("time_stretch", 4.0, "outside operational range"),
 ], ids=["pitch-overflow", "pitch-400-digit-int", "pitch-underflow", "stretch-range"])
 def test_sweep_factor_out_of_range_raises_config_error_before_any_track(
-        sweep_inputs, kind, factor, reason):
-    _, params, _ = sweep_inputs
-
-    def no_tracks():
-        raise AssertionError("a track was read")
-        yield
-
-    identity = 1.0 if kind == "time_stretch" else 0
+        kind, factor, reason):
+    # the config that holds the factor rejects it, so no sweep starts
+    name, identity = locality.SWEEPS[kind]
     with pytest.raises(ConfigError, match="%s sweep factor %r: .*%s"
                        % (kind, factor, reason)):
-        locality.manipulation_sweep(no_tracks(), params, kind, (identity, factor), 300)
+        MetricsConfig(sweep_kind=kind, **{name: (identity, factor)})
 
 
 def test_sweep_serialization(tmp_path, sweep_inputs):
     """The sweep keys its per-track distances by factor in grid order, and
     the CLI table writer writes them as they are."""
     _, params, mels = sweep_inputs
-    res = locality.manipulation_sweep(mels, params, "time_stretch",
-                                      (0.8, 1.0, 1.25), 300)
+    res = locality.manipulation_sweep(
+        mels, params, MetricsConfig(stretch_grid=(0.8, 1.0, 1.25)), 300)
     assert list(res) == [0.8, 1.0, 1.25]
     assert all(len(d) == len(mels) for d in res.values())
     config = cli.load_config(overrides=['paths.output_dir="%s"' % tmp_path])
@@ -300,10 +298,11 @@ def test_sweep_serialization(tmp_path, sweep_inputs):
 
 
 def test_default_grids():
-    assert locality.DEFAULT_STRETCH_GRID[8] == 1.0
-    assert locality.DEFAULT_STRETCH_GRID[0] == pytest.approx(0.5)
-    assert locality.DEFAULT_STRETCH_GRID[-1] == pytest.approx(2.0)
-    assert locality.DEFAULT_PITCH_GRID == tuple(range(-12, 13))
+    stretch_grid, pitch_grid = MetricsConfig().stretch_grid, MetricsConfig().pitch_grid
+    assert stretch_grid[8] == 1.0
+    assert stretch_grid[0] == pytest.approx(0.5)
+    assert stretch_grid[-1] == pytest.approx(2.0)
+    assert pitch_grid == tuple(range(-12, 13))
 
 
 def test_neighborhood_report_roundtrip(tmp_path):

@@ -5,9 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from embedloc import melfront
 from embedloc.errors import ConfigError, DataError
 from conftest import make_tone_mel
+import oracles
 
 
 def test_config_validation():
@@ -87,9 +90,39 @@ def test_band_centers_match_high_precision_mel_grid():
 
 
 def test_empty_band_raises_naming_first_band():
-    cfg = melfront.MelConfig(num_bands=512, dft_size=256, window_length=256)
-    with pytest.raises(ConfigError, match="band"):
-        melfront.build_filterbank(cfg)
+    with pytest.raises(ConfigError, match="band 0 is empty"):
+        melfront.MelConfig(num_bands=512, dft_size=256, window_length=256)
+
+
+def test_band_rule_sizes_no_allocation():
+    # a filterbank of 1e11 bands would take 745 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="band 0 is empty"):
+            melfront.MelConfig(num_bands=100_000_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 96000), st.integers(1, 4096), st.integers(2, 600))
+def test_band_rule_agrees_with_the_per_band_loop(rate, dft, anywhere):
+    # band 0's upper edge, 2 * mel(rate / 2) / (bands + 1) in mel, must
+    # clear the bin spacing; the largest count accepted is within one of
+    largest = int(2 * melfront.hz_to_mel(rate / 2.0) / melfront.hz_to_mel(rate / dft)) - 1
+    assume(largest <= 2000)
+    for bands in {anywhere} | set(range(max(2, largest - 2), max(2, largest + 3))):
+        empty = oracles.first_empty_band(rate, dft, bands)
+        assert empty in (None, 0)   # band 0 is the narrowest
+        try:
+            melfront.MelConfig(sample_rate_hz=rate, dft_size=dft,
+                               window_length=min(400, dft), num_bands=bands)
+        except ConfigError as exc:
+            assert empty == 0, exc
+        else:
+            assert empty is None, bands
 
 
 def test_silence_clamps_to_floor():
