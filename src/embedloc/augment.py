@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_positive
 from .melfront import MelSpectrogram, build_filterbank, log_silence
 
 TAU_RANGE = (0.75, 1.5)
@@ -48,8 +48,7 @@ class PitchShiftParams:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError("mu must be positive")
+        require_positive(self, "mu")
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ class RrcParams:
     freq_offset: float = 0.0
 
     def __post_init__(self):
-        if self.time_scale <= 0 or self.freq_scale <= 0:
-            raise ConfigError("RRC scales must be positive")
+        require_positive(self, "time_scale", "freq_scale")
         if self.time_scale > 1.0 or self.freq_scale > 1.0:
             raise ConfigError("RRC crop must lie inside the source")
         if not (0.0 <= self.time_offset <= 1.0 and 0.0 <= self.freq_offset <= 1.0):

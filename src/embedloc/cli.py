@@ -6,9 +6,9 @@ retrieval, probe, report. Configuration is a single JSON document;
 at load: load_config builds each section into its type (SECTIONS), runs
 the two checks that read two sections, and names the file or --set each
 failing section came from; the commands take the RunConfig it returns.
-Every random draw derives from the one top-level `seed`, which
-EMBEDLOC_SEED overrides; there are no per-section seed keys.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
+Every random draw derives from the one top-level `seed`; there are no
+per-section seed keys, and no environment variable is read.
+Exit codes: 0 ok, 2 config, 3 data or out of memory, 4 numerical failure.
 """
 
 import argparse
@@ -115,17 +115,16 @@ def _apply_override(config, dotted, raw_value):
 
 
 def load_config(path=None, overrides=()):
-    """The RunConfig of DEFAULT_CONFIG, the file at `path`, the `--set`
-    items `overrides` and EMBEDLOC_SEED, merged in that order."""
+    """The RunConfig of DEFAULT_CONFIG, the file at `path` and the `--set`
+    items `overrides`, merged in that order."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+            loaded = tensorio.read_json(path)
         except FileNotFoundError:
             raise ConfigError("config file not found: %s" % path)
-        except (ValueError, RecursionError) as exc:   # includes bad UTF-8
-            raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
+        except DataError as exc:
+            raise ConfigError("config file %s" % exc)
         if not isinstance(loaded, dict):
             raise ConfigError("config file %s must hold a JSON object" % path)
         config = _merge_known(config, loaded)
@@ -134,12 +133,6 @@ def load_config(path=None, overrides=()):
             raise ConfigError("override %r is not of the form path=value" % item)
         dotted, raw = item.split("=", 1)
         config = _apply_override(config, dotted, raw)
-    env_seed = os.environ.get("EMBEDLOC_SEED")
-    if env_seed is not None:
-        try:
-            config["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError("EMBEDLOC_SEED must be an integer, got %r" % env_seed)
 
     def checked(sections, check):
         try:
@@ -411,6 +404,9 @@ def main(argv=None):
         return 4
     except (EmbedlocError, OSError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("out of memory: %s" % (str(exc) or "MemoryError"), file=sys.stderr)
         return 3
     return 0
 

@@ -10,13 +10,13 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import tensorio
 from .augment import AugmentationSpec, derive_rng
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_sizes
 from .melfront import (BLAS_ONE_THREAD_MACS, MelConfig, MelSpectrogram,
                        compute_mel, load_pcm_f32, load_pcm_wav, write_pcm_wav)
 
@@ -73,10 +73,8 @@ class TrackRecord:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(track_id=d["track_id"], feature_path=d["feature_path"],
-                   duration_s=d["duration_s"], bpm=d.get("bpm"),
-                   key_label=d.get("key_label"), tags=d.get("tags", ()),
-                   split=d.get("split", "train"))
+        """The record of the fields `d` holds; its other keys are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def write_manifest(path, records):
@@ -85,7 +83,8 @@ def write_manifest(path, records):
             fh.write(json.dumps(rec.to_dict()) + "\n")
 
 
-MANIFEST_REQUIRED = ("track_id", "feature_path", "duration_s")
+# the fields without a default, which every manifest row must hold
+MANIFEST_REQUIRED = tuple(f.name for f in fields(TrackRecord) if f.default is MISSING)
 
 
 def read_manifest(path):
@@ -304,8 +303,7 @@ class CorpusConfig:
     test_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.num_tracks < 1:
-            raise ConfigError("num_tracks must be at least 1, got %d" % self.num_tracks)
+        require_sizes(self, "num_tracks")
         if not 0.0 <= self.test_fraction <= 1.0:
             raise ConfigError("test_fraction must be in [0, 1], got %g"
                               % self.test_fraction)

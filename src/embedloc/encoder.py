@@ -18,28 +18,11 @@ import numpy as np
 from . import tensorio
 from .augment import AugmentationSpec, apply_chain, derive_rng
 from .corpus import pair_min_duration_s, sample_pair
-from .errors import ConfigError, DataError, NumericalError
+from .errors import (ConfigError, DataError, NumericalError, require_positive,
+                     require_sizes)
 
 
-def require_sizes(config, *names):
-    """Raise ConfigError unless each of the fields `names` of `config` is
-    at least 1."""
-    for name in names:
-        if getattr(config, name) < 1:
-            raise ConfigError("%s must be at least 1, got %d"
-                              % (name, getattr(config, name)))
-
-
-def require_positive(config, *names):
-    """Raise ConfigError unless each of the fields `names` of `config` is
-    above 0 (so not NaN)."""
-    for name in names:
-        if not getattr(config, name) > 0:
-            raise ConfigError("%s must be positive, got %r"
-                              % (name, getattr(config, name)))
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_pairs: int = 64
     total_steps: int = 5000
@@ -51,7 +34,8 @@ class TrainConfig:
     hidden_units: int = 256
 
     def __post_init__(self):
-        require_sizes(self, "total_steps", "embedding_dim", "hidden_units")
+        require_sizes(self, "batch_pairs", "total_steps", "embedding_dim",
+                      "hidden_units")
         require_positive(self, "peak_lr", "temperature")
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be in [0, total_steps)")

@@ -9,22 +9,26 @@ mel section at load. Its band rule costs O(1): every band holds a DFT
 bin iff the bin spacing sample_rate_hz / dft_size lies below band 0's
 upper edge as np.linspace gives it, mel_to_hz(2 * (hz_to_mel(
 sample_rate_hz / 2) / (num_bands + 1))). Band 0 is the narrowest band,
-because mel_to_hz is convex. The edge lies below sample_rate_hz / 2, so
-the rule also holds dft_size >= 2, which a second bin needs.
+because mel_to_hz is convex, which also puts the edge below
+sample_rate_hz / (num_bands + 1): the rule holds num_bands + 1 < dft_size.
 """
 
 import functools
 import os
-import sys
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_positive, require_sizes
 from . import tensorio
 
 HTK_MEL_CONST = 2595.0
+
+# 8 times the default: compute_mel's STFT block buffers then take 42 MB,
+# and as num_bands < dft_size, build_filterbank's weights at most 1.1 GB
+# (at a rate of a few Hz; 240 MB at 16 kHz)
+MAX_DFT_SIZE = 2 ** 14
 
 # frames per STFT block in compute_mel: each block's complex rfft is
 # about 2 MB at the default dft_size, whatever the track length
@@ -61,25 +65,19 @@ class MelConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
-        if self.window_length < 1:
-            raise ConfigError("window_length must be >= 1")
+        # the frame rate and the band rule are computed in floats
+        require_positive(self, "sample_rate_hz", "log_floor")
+        require_sizes(self, "window_length", "hop", "num_bands")
         if self.window_length > self.dft_size:
             raise ConfigError("window_length %d exceeds dft_size %d"
                               % (self.window_length, self.dft_size))
-        if self.hop < 1:
-            raise ConfigError("hop must be >= 1")
+        if self.dft_size > MAX_DFT_SIZE:
+            raise ConfigError("dft_size must be at most %d, got %d"
+                              % (MAX_DFT_SIZE, self.dft_size))
         if self.num_bands < 2:
             raise ConfigError("num_bands must be >= 2")
         if self.window_kind != "hann":
             raise ConfigError("unsupported window_kind %r" % self.window_kind)
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
-        # the frame rate and the band rule are computed in floats
-        if max(self.sample_rate_hz, self.num_bands) > sys.float_info.max:
-            raise ConfigError("sample_rate_hz and num_bands must be at most %g"
-                              % sys.float_info.max)
         # band 0's upper edge, where np.linspace puts it (the module's band rule)
         top = mel_to_hz(2 * (hz_to_mel(self.sample_rate_hz / 2.0) / (self.num_bands + 1)))
         if not self.sample_rate_hz / self.dft_size < top:

@@ -8,8 +8,9 @@ import numpy as np
 
 from .augment import derive_rng
 from .corpus import BPM_MAX, BPM_MIN
-from .encoder import Mlp, require_positive, require_sizes
-from .errors import ConfigError, DataError, NumericalError
+from .encoder import Mlp
+from .errors import (ConfigError, DataError, NumericalError, require_positive,
+                     require_sizes)
 from .locality import TEMPO_OCTAVES
 
 NUM_CLASSES = BPM_MAX - BPM_MIN + 1   # 271
@@ -18,7 +19,7 @@ SMOOTHING_TAPS = 15
 ACC_TOLERANCE = 0.04
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig:
     batch_size: int = 64
     total_steps: int = 2000

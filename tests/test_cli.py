@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -52,15 +53,6 @@ def test_load_config_errors(tmp_path):
         cli.load_config(overrides=["malformed"])
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("EMBEDLOC_SEED", "42")
-    assert cli.load_config().seed == 42
-    monkeypatch.setenv("EMBEDLOC_SEED", "nope")
-    from embedloc.errors import ConfigError
-    with pytest.raises(ConfigError):
-        cli.load_config()
-
-
 def test_config_hash_stable_and_sensitive():
     a = cli.config_hash(cli.load_config())
     b = cli.config_hash(cli.load_config())
@@ -77,6 +69,17 @@ def test_exit_codes(tmp_path, capsys):
     # unknown command -> 2 via argparse
     assert cli.main(["frobnicate"]) == 2
     assert cli.main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+    (MemoryError(), "MemoryError")])
+def test_out_of_memory_exits_3_in_one_line(monkeypatch, capsys, exc, line):
+    def exhausted(run):
+        raise exc
+    monkeypatch.setitem(cli.COMMANDS, "train", exhausted)
+    assert cli.main(["train"]) == 3
+    assert capsys.readouterr().err == "out of memory: %s\n" % line
 
 
 @pytest.mark.slow
@@ -894,7 +897,8 @@ def test_mel_error_names_where_mel_was_set(tmp_path, capsys, via):
     assert cli.main(args) == 2
     origin = str(path) + (", --set mel.hop=0" if via == "set" else "")
     assert capsys.readouterr().err == (
-        "config error: mel from %s: hop must be >= 1\n" % origin)
+        "config error: mel from %s: hop must be at least 1 and at most %d, got 0\n"
+        % (origin, sys.maxsize))
 
 
 @pytest.mark.parametrize("k_grid", ["[0]", "[-3]", "[1,1]", "[]"])
@@ -922,20 +926,33 @@ LOAD_RULES = [
     # each of these two ended in an OverflowError traceback
     ("augmentation", "augmentation.context_seconds=1e308"),
     ("mel", "mel.sample_rate_hz=1" + "0" * 400),
+    # train ended in an OverflowError traceback in lr_at, and in numpy's
+    # "Maximum allowed dimension exceeded" for the two sizes
+    ("train", ("train.warmup_steps=1" + "0" * 400, "train.total_steps=1" + "0" * 401)),
+    ("train", "train.batch_pairs=1" + "0" * 400),
+    ("train", "train.hidden_units=1" + "0" * 400),
+    # extract would size a filterbank of 5e10 bins
+    ("mel", "mel.dft_size=100000000000"),
 ]
+
+
+def _items(item):
+    """A LOAD_RULES row's `--set` items: one, or a tuple of them."""
+    return (item,) if isinstance(item, str) else item
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 @pytest.mark.parametrize("section,item", LOAD_RULES,
-                         ids=[item[:32] for _, item in LOAD_RULES])
+                         ids=[" ".join(_items(item))[:32] for _, item in LOAD_RULES])
 def test_every_command_checks_every_section_at_load(tmp_path, capsys, command,
                                                     section, item):
     corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
-    assert cli.main([command, "--set", item,
-                     "--set", 'paths.corpus_dir="%s"' % corpus_dir,
-                     "--set", 'paths.output_dir="%s"' % out]) == 2
+    items = _items(item) + ('paths.corpus_dir="%s"' % corpus_dir,
+                            'paths.output_dir="%s"' % out)
+    assert cli.main([command] + [arg for one in items for arg in ("--set", one)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: %s from --set %s: " % (section, item))
+    origin = ", ".join("--set " + one for one in _items(item))
+    assert err.startswith("config error: %s from %s: " % (section, origin))
     assert "Traceback" not in err
     assert not corpus_dir.exists() and not out.exists()
 

@@ -299,7 +299,6 @@ def run_cli_with_blas_threads(threads, args):
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads, PYTHONPATH=path)
-    env.pop("EMBEDLOC_SEED", None)
     subprocess.run([sys.executable, "-m", "embedloc.cli"] + args,
                    env=env, check=True, timeout=300, capture_output=True)
 

@@ -569,7 +569,8 @@ def test_train_config_rejects_a_peak_lr_not_above_zero(value):
 
 
 @pytest.mark.parametrize("value", [0, -3])
-@pytest.mark.parametrize("field", ["total_steps", "embedding_dim", "hidden_units"])
+@pytest.mark.parametrize("field", ["batch_pairs", "total_steps", "embedding_dim",
+                                   "hidden_units"])
 def test_train_config_rejects_sizes_below_one(field, value):
     with pytest.raises(ConfigError, match="%s must be at least 1" % field):
         TrainConfig(**{field: value})

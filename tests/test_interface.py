@@ -1,5 +1,7 @@
 """The package's outward interface: options that were removed stay
-removed, the names and configs the pipeline benchmark relies on resolve,
+removed, a run is fixed by its config alone (no environment variable is
+read, and no config section changes after load), the names and configs
+the pipeline benchmark relies on resolve,
 serialized formats keep their bytes, tensor files are read and written
 through two formats only, the package imports only the dependencies it
 declares, and the demos run."""
@@ -14,7 +16,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import pytest
 
@@ -102,6 +104,34 @@ def test_config_sections_are_the_training_configs_fields():
         assert getattr(run, name) == section()
 
 
+def _package_trees():
+    """(path, parsed module) of each module of src/embedloc."""
+    for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            yield path, ast.parse(fh.read(), path)
+
+
+def test_the_package_reads_no_environment_variable():
+    # the seed and every other setting come from the config and --set only
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = [(os.path.basename(path), node.lineno)
+             for path, tree in _package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.alias) and node.name in names]
+    assert reads == []
+
+
+def test_every_config_section_is_frozen():
+    from embedloc import cli
+    run = cli.load_config()
+    for name in cli.SECTIONS:
+        section = getattr(run, name)
+        field = fields(section)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, field, getattr(section, field))
+
+
 # ---------------------------------------------------------------------------
 # what pipebench relies on
 
@@ -174,9 +204,7 @@ def test_package_imports_exactly_its_declared_dependencies():
         declared = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in declared}
     imported = set()
-    for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
+    for _, tree in _package_trees():
         for node in ast.walk(tree):     # function-local imports count too
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
@@ -200,9 +228,7 @@ def _users(name):
                 users.add(".".join(scope))
             visit(child, scope)
 
-    for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
+    for path, tree in _package_trees():
         visit(tree, [os.path.splitext(os.path.basename(path))[0]])
     return users
 

@@ -26,6 +26,9 @@ def test_config_validation():
         melfront.MelConfig(window_length=0)
     with pytest.raises(ConfigError, match="window_length"):
         melfront.MelConfig(window_length=-5)
+    assert melfront.MelConfig(dft_size=melfront.MAX_DFT_SIZE).dft_size == 2 ** 14
+    with pytest.raises(ConfigError, match="dft_size must be at most 16384, got 16385"):
+        melfront.MelConfig(dft_size=melfront.MAX_DFT_SIZE + 1)
 
 
 def test_two_band_peak_ordering():
