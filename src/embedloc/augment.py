@@ -19,8 +19,8 @@ from .melfront import MelSpectrogram, build_filterbank, log_silence
 TAU_RANGE = (0.75, 1.5)
 TAU_OP_RANGE = (0.25, 4.0)
 MU_RANGE = (0.749, 1.335)
-LOWPASS_CORNER_RANGE = (2200.0, 4000.0)
-HIGHPASS_CORNER_RANGE = (200.0, 1200.0)
+# EQ mode -> the (lo, hi) range of its corner in Hz
+EQ_CORNER_RANGES = {"lowpass": (2200.0, 4000.0), "highpass": (200.0, 1200.0)}
 RRC_TIME_SCALE_RANGE = (0.6, 1.0)
 RRC_FREQ_SCALE_RANGE = (0.6, 1.0)
 EQ_ORDER = 3   # Butterworth order of the EQ filters
@@ -57,16 +57,12 @@ class EqParams:
     corner_hz: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "lowpass", "highpass"):
+        if self.mode not in ("none", *EQ_CORNER_RANGES):
             raise ConfigError("unknown EQ mode %r" % self.mode)
-        if self.mode == "lowpass" and not (
-                LOWPASS_CORNER_RANGE[0] <= self.corner_hz <= LOWPASS_CORNER_RANGE[1]):
-            raise ConfigError("lowpass corner %g Hz outside %s"
-                              % (self.corner_hz, (LOWPASS_CORNER_RANGE,)))
-        if self.mode == "highpass" and not (
-                HIGHPASS_CORNER_RANGE[0] <= self.corner_hz <= HIGHPASS_CORNER_RANGE[1]):
-            raise ConfigError("highpass corner %g Hz outside %s"
-                              % (self.corner_hz, (HIGHPASS_CORNER_RANGE,)))
+        span = EQ_CORNER_RANGES.get(self.mode)
+        if span and not span[0] <= self.corner_hz <= span[1]:
+            raise ConfigError("%s corner %g Hz outside %s"
+                              % (self.mode, self.corner_hz, (span,)))
 
 
 @dataclass(frozen=True)
@@ -166,11 +162,10 @@ def sample_mu(rng) -> PitchShiftParams:
 
 def sample_eq(rng) -> EqParams:
     """Equal thirds none / lowpass / highpass; corner uniform per mode."""
-    mode = ("none", "lowpass", "highpass")[rng.integers(3)]
+    mode = ("none", *EQ_CORNER_RANGES)[rng.integers(3)]
     if mode == "none":
         return EqParams(mode="none")
-    lo, hi = LOWPASS_CORNER_RANGE if mode == "lowpass" else HIGHPASS_CORNER_RANGE
-    return EqParams(mode=mode, corner_hz=float(rng.uniform(lo, hi)))
+    return EqParams(mode=mode, corner_hz=float(rng.uniform(*EQ_CORNER_RANGES[mode])))
 
 
 def sample_rrc(rng) -> RrcParams:
@@ -186,7 +181,9 @@ def sample_rrc(rng) -> RrcParams:
 # frequency warp (pitch shift geometry)
 
 def mel_band_scale(num_bands, sample_rate_hz):
-    """S_U = U / log10(1 + R/700): bands per decade-ish on the HTK axis."""
+    """S_U = U / log10(1 + R/700), R = sample_rate_hz: the scale of the axis
+    f(u) = 700 (10^(u/S_U) - 1) that warp_band_position assumes, from 0 Hz
+    at band 0 to R at band U (the filterbank's centres stop below R/2)."""
     return num_bands / np.log10(1.0 + sample_rate_hz / 700.0)
 
 

@@ -34,13 +34,11 @@ class TrainConfig:
     hidden_units: int = 256
 
     def __post_init__(self):
-        require_sizes(self, "batch_pairs", "total_steps", "embedding_dim",
-                      "hidden_units")
+        require_sizes(self, "total_steps", "embedding_dim", "hidden_units")
+        require_sizes(self, "batch_pairs", minimum=2)
         require_positive(self, "peak_lr", "temperature")
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError("warmup_steps must be in [0, total_steps)")
-        if self.batch_pairs < 2:
-            raise ConfigError("need at least 2 pairs per batch")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must be in [0, 1)")
 
@@ -242,8 +240,7 @@ def ntxent_loss(embeddings, temperature):
     log_probs = sims[np.arange(n), pos] - (row_max[:, 0] + np.log(denom))
     loss = -log_probs.mean()
 
-    probs = expd / denom[:, None]          # softmax over b != i
-    grad_sims = probs.copy()
+    grad_sims = np.divide(expd, denom[:, None], out=expd)   # softmax over b != i
     grad_sims[np.arange(n), pos] -= 1.0
     grad_sims /= n
     dz = (grad_sims + grad_sims.T) @ z / temperature

@@ -20,15 +20,23 @@ class NumericalError(EmbedlocError):
     """Numerical failure such as divergence (CLI exit code 4)."""
 
 
-def require_sizes(config, *names):
+# The largest config size. The largest array sizes make is NT-Xent's
+# (2 * batch_pairs)**2 float64 similarities, 2**61 bytes at the cap; any
+# other multiplies at most two sizes, one perhaps doubled (2**60 bytes),
+# or one by a width below 2**15 (2 * num_bands + 24; 271 probe classes).
+# All stay below sys.maxsize bytes, so numpy reports a request it cannot
+# meet as MemoryError (exit 3), not a ValueError traceback.
+MAX_SIZE = 2 ** 28
+
+
+def require_sizes(config, *names, minimum=1, maximum=MAX_SIZE):
     """Raise ConfigError unless each of the fields `names` of `config` is
-    at least 1 and at most sys.maxsize, the largest dimension numpy
-    accepts."""
+    at least `minimum` and at most `maximum` (never above MAX_SIZE)."""
     for name in names:
         value = getattr(config, name)
-        if not 1 <= value <= sys.maxsize:
-            raise ConfigError("%s must be at least 1 and at most %d, got %r"
-                              % (name, sys.maxsize, value))
+        if not minimum <= value <= maximum:
+            raise ConfigError("%s must be at least %d and at most %d, got %r"
+                              % (name, minimum, maximum, value))
 
 
 def require_positive(config, *names):

@@ -67,15 +67,12 @@ class MelConfig:
     def __post_init__(self):
         # the frame rate and the band rule are computed in floats
         require_positive(self, "sample_rate_hz", "log_floor")
-        require_sizes(self, "window_length", "hop", "num_bands")
+        require_sizes(self, "window_length", "hop")
+        require_sizes(self, "num_bands", minimum=2)
+        require_sizes(self, "dft_size", maximum=MAX_DFT_SIZE)
         if self.window_length > self.dft_size:
             raise ConfigError("window_length %d exceeds dft_size %d"
                               % (self.window_length, self.dft_size))
-        if self.dft_size > MAX_DFT_SIZE:
-            raise ConfigError("dft_size must be at most %d, got %d"
-                              % (MAX_DFT_SIZE, self.dft_size))
-        if self.num_bands < 2:
-            raise ConfigError("num_bands must be >= 2")
         if self.window_kind != "hann":
             raise ConfigError("unsupported window_kind %r" % self.window_kind)
         # band 0's upper edge, where np.linspace puts it (the module's band rule)

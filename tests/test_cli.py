@@ -2,13 +2,13 @@ import hashlib
 import json
 import os
 import struct
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from embedloc import cli
+from embedloc.errors import MAX_SIZE
 
 
 def run(args, env=None, monkeypatch=None):
@@ -898,7 +898,7 @@ def test_mel_error_names_where_mel_was_set(tmp_path, capsys, via):
     origin = str(path) + (", --set mel.hop=0" if via == "set" else "")
     assert capsys.readouterr().err == (
         "config error: mel from %s: hop must be at least 1 and at most %d, got 0\n"
-        % (origin, sys.maxsize))
+        % (origin, MAX_SIZE))
 
 
 @pytest.mark.parametrize("k_grid", ["[0]", "[-3]", "[1,1]", "[]"])
@@ -933,6 +933,13 @@ LOAD_RULES = [
     ("train", "train.hidden_units=1" + "0" * 400),
     # extract would size a filterbank of 5e10 bins
     ("mel", "mel.dft_size=100000000000"),
+    # each of these passed a cap of sys.maxsize, then ended in numpy's
+    # "array is too big" traceback
+    ("train", "train.hidden_units=9223372036854775807"),
+    ("train", "train.batch_pairs=9223372036854775807"),
+    ("train", "train.embedding_dim=9223372036854775807"),
+    ("probe", "probe.batch_size=9223372036854775807"),
+    ("probe", "probe.hidden_units=9223372036854775807"),
 ]
 
 

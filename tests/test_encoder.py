@@ -15,7 +15,7 @@ from embedloc.augment import (AugmentationSpec, TimeStretchParams, apply_chain,
 from embedloc.corpus import TrackRecord, sample_pair
 from embedloc.embedspace import build_embedding_set
 from embedloc.encoder import Mlp, TrainConfig, feature_dim
-from embedloc.errors import ConfigError, DataError
+from embedloc.errors import MAX_SIZE, ConfigError, DataError
 from embedloc.locality import MetricsConfig, manipulation_sweep
 
 
@@ -568,12 +568,16 @@ def test_train_config_rejects_a_peak_lr_not_above_zero(value):
         TrainConfig(peak_lr=value)
 
 
-@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("value", [0, -3, MAX_SIZE + 1])
 @pytest.mark.parametrize("field", ["batch_pairs", "total_steps", "embedding_dim",
                                    "hidden_units"])
 def test_train_config_rejects_sizes_below_one(field, value):
-    with pytest.raises(ConfigError, match="%s must be at least 1" % field):
+    minimum = 2 if field == "batch_pairs" else 1
+    with pytest.raises(ConfigError, match="%s must be at least %d and at most %d, got %d"
+                       % (field, minimum, MAX_SIZE, value)):
         TrainConfig(**{field: value})
+    # building the config allocates nothing, so the cap itself is tried
+    assert getattr(TrainConfig(**{field: MAX_SIZE}), field) == MAX_SIZE
 
 
 # ---------------------------------------------------------------------------

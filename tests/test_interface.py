@@ -104,6 +104,29 @@ def test_config_sections_are_the_training_configs_fields():
         assert getattr(run, name) == section()
 
 
+def _int_fields():
+    """(section, field) of every int field of every config section."""
+    from embedloc import cli
+    return [(name, f.name) for name, section in cli.SECTIONS.items()
+            for f in fields(section) if f.type is int]
+
+
+@pytest.mark.parametrize("section,field", _int_fields(),
+                         ids=["%s.%s" % pair for pair in _int_fields()])
+def test_every_int_config_field_at_maxsize_exits_2_at_load(tmp_path, capsys,
+                                                           section, field):
+    # a size field added later is covered without editing this test
+    from embedloc import cli
+    item = "%s.%s=%d" % (section, field, sys.maxsize)
+    out = tmp_path / "out"
+    assert cli.main(["report", "--set", item,
+                     "--set", 'paths.output_dir="%s"' % out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--set %s" % item in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def _package_trees():
     """(path, parsed module) of each module of src/embedloc."""
     for path in glob.glob(os.path.join(SRC, "embedloc", "*.py")):

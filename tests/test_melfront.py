@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from embedloc import melfront
-from embedloc.errors import ConfigError, DataError
+from embedloc.errors import MAX_SIZE, ConfigError, DataError
 from conftest import make_tone_mel
 import oracles
 
@@ -27,7 +27,16 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="window_length"):
         melfront.MelConfig(window_length=-5)
     assert melfront.MelConfig(dft_size=melfront.MAX_DFT_SIZE).dft_size == 2 ** 14
-    with pytest.raises(ConfigError, match="dft_size must be at most 16384, got 16385"):
+    assert melfront.MelConfig(hop=MAX_SIZE).hop == MAX_SIZE
+    for field in ("window_length", "hop"):
+        with pytest.raises(ConfigError, match="%s must be at least 1 and at most %d"
+                           % (field, MAX_SIZE)):
+            melfront.MelConfig(**{field: MAX_SIZE + 1})
+    with pytest.raises(ConfigError, match="num_bands must be at least 2 and at most %d"
+                       % MAX_SIZE):
+        melfront.MelConfig(num_bands=MAX_SIZE + 1)
+    with pytest.raises(ConfigError,
+                       match="dft_size must be at least 1 and at most 16384, got 16385"):
         melfront.MelConfig(dft_size=melfront.MAX_DFT_SIZE + 1)
 
 
@@ -98,11 +107,11 @@ def test_empty_band_raises_naming_first_band():
 
 
 def test_band_rule_sizes_no_allocation():
-    # a filterbank of 1e11 bands would take 745 GiB
+    # a filterbank of 2**28 bands, the largest size, would take 2 TiB
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="band 0 is empty"):
-            melfront.MelConfig(num_bands=100_000_000_000)
+            melfront.MelConfig(num_bands=MAX_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ from embedloc import corpus, probe
 from embedloc.augment import derive_rng
 from embedloc.embedspace import EmbeddingSet
 from embedloc.encoder import Mlp
-from embedloc.errors import ConfigError, DataError
+from embedloc.errors import MAX_SIZE, ConfigError, DataError
 from embedloc.probe import ProbeConfig
 
 
@@ -30,11 +30,14 @@ def test_probe_config_validation():
         ProbeConfig(total_steps=0)
 
 
-@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("value", [0, -2, MAX_SIZE + 1])
 @pytest.mark.parametrize("field", ["batch_size", "total_steps", "hidden_units"])
 def test_probe_config_rejects_sizes_below_one(field, value):
-    with pytest.raises(ConfigError, match="%s must be at least 1" % field):
+    with pytest.raises(ConfigError, match="%s must be at least 1 and at most %d, got %d"
+                       % (field, MAX_SIZE, value)):
         ProbeConfig(**{field: value})
+    # building the config allocates nothing, so the cap itself is tried
+    assert getattr(ProbeConfig(**{field: MAX_SIZE}), field) == MAX_SIZE
 
 
 @pytest.mark.parametrize("value", [0, 0.0, -1, float("nan")])
