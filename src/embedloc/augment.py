@@ -9,6 +9,7 @@ and may not be combined with them; RRC + EQ is allowed.
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,7 +139,9 @@ class AugmentationSpec:
 # RNG derivation: scheduling-independent per-sample streams
 
 def derive_rng(seed, *keys):
-    """Deterministic child RNG from a base seed and hashable keys."""
+    """Deterministic child RNG from a base seed and hashable keys. A numpy
+    integer key counts by value: np.int64(3) and 3 give one stream."""
+    keys = tuple(operator.index(k) if isinstance(k, np.integer) else k for k in keys)
     digest = hashlib.sha256(repr((int(seed),) + keys).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
@@ -367,14 +370,12 @@ def butterworth_magnitude(freq_hz, corner_hz, mode):
 
 @functools.lru_cache(maxsize=8)
 def eq_basis(config):
-    """Row-sum-normalized rows of the config's filterbank and the DFT bin
+    """Row-sum-normalized rows of the config's filterbank and its DFT bin
     frequencies, built once per config and returned as read-only arrays."""
-    weights = build_filterbank(config).weights
-    rows = weights / weights.sum(axis=1, keepdims=True)
-    bin_hz = np.arange(rows.shape[1]) * config.sample_rate_hz / config.dft_size
+    filterbank = build_filterbank(config)
+    rows = filterbank.weights / filterbank.weights.sum(axis=1, keepdims=True)
     rows.flags.writeable = False
-    bin_hz.flags.writeable = False
-    return rows, bin_hz
+    return rows, filterbank.bin_hz
 
 
 def eq_offsets(config, p: EqParams):

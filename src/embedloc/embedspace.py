@@ -11,7 +11,7 @@ from .encoder import encode
 from .errors import DataError
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingSet:
     ids: list
     matrix: np.ndarray          # (N, D), unit rows, aligned with ids; read-only

@@ -128,7 +128,7 @@ def feature_dim(num_bands):
     return 2 * num_bands + len(ENVELOPE_LAGS)
 
 
-@dataclass
+@dataclass(eq=False)
 class Mlp:
     """Two dense layers, w1 (hidden, in) with b1 and w2 (out, hidden) with
     b2. The encoder (tanh hidden layer) and the tempo probe (ReLU hidden

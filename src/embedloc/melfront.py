@@ -87,10 +87,11 @@ class MelConfig:
         return self.sample_rate_hz / self.hop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MelFilterbank:
     weights: np.ndarray      # (U, K//2 + 1), unit-peak triangles
     band_center_hz: np.ndarray
+    bin_hz: np.ndarray       # (K//2 + 1,), the DFT bin frequencies
     # (band slice, bin slice, read-only weights[bands, bins]) for each
     # run of BAND_GROUP consecutive bands, over the bins their non-zeros
     # span: every non-zero of `weights` lies in one group's block
@@ -101,7 +102,7 @@ class MelFilterbank:
         return self.weights.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class MelSpectrogram:
     # (U, M) log10 magnitudes: read-only float32 as .emlt stores them
     # when loaded, float64 when computed; code that computes on them
@@ -153,11 +154,10 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
     """Triangular mel filterbank; adjacent triangles cross at 50% height.
     Built once per config and returned as read-only arrays. MelConfig's
     band rule guarantees that every band holds a bin."""
-    n_bins = config.dft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * config.sample_rate_hz / config.dft_size
+    bin_hz = np.arange(config.dft_size // 2 + 1) * config.sample_rate_hz / config.dft_size
     edges_hz = mel_to_hz(band_grid_mel(config))
 
-    weights = np.zeros((config.num_bands, n_bins))
+    weights = np.zeros((config.num_bands, len(bin_hz)))
     for u in range(config.num_bands):
         lo, ctr, hi = edges_hz[u], edges_hz[u + 1], edges_hz[u + 2]
         rising = (bin_hz - lo) / (ctr - lo)
@@ -172,10 +172,10 @@ def build_filterbank(config: MelConfig) -> MelFilterbank:
         block.flags.writeable = False
         groups.append((bands, bins, block))
     band_center_hz = edges_hz[1:-1].copy()
-    weights.flags.writeable = False
-    band_center_hz.flags.writeable = False
+    for array in (weights, band_center_hz, bin_hz):
+        array.flags.writeable = False
     return MelFilterbank(weights=weights, band_center_hz=band_center_hz,
-                         groups=tuple(groups))
+                         bin_hz=bin_hz, groups=tuple(groups))
 
 
 def compute_mel(pcm, config: MelConfig, source_id: str = "") -> MelSpectrogram:

@@ -26,8 +26,7 @@ from .errors import DataError
 MAGIC = b"EMLT"
 VERSION = 1
 DTYPE_F32 = 1
-
-_DTYPE_CODES = {DTYPE_F32: np.dtype("<f4")}
+F32 = np.dtype("<f4")   # the one stored dtype, written with code DTYPE_F32
 
 
 class TensorFormatError(DataError):
@@ -85,13 +84,14 @@ def read_json(path):
 
 
 def write_tensor(path, array):
-    """Write a numpy array to an EMLT file (stored as float32), atomically."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Write an array to an EMLT file as float32, atomically; return what was stored."""
+    arr = np.ascontiguousarray(array, dtype=F32)
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HHH", VERSION, DTYPE_F32, arr.ndim))
         fh.write(struct.pack("<%dQ" % arr.ndim, *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr)
+    return arr
 
 
 def _read_exact(fh, size, path, what):
@@ -113,18 +113,17 @@ def read_tensor(path):
             "<HHH", _read_exact(fh, 6, path, "header"))
         if version != VERSION:
             raise TensorFormatError("unsupported version %d in %s" % (version, path))
-        if dtype_code not in _DTYPE_CODES:
+        if dtype_code != DTYPE_F32:
             raise TensorFormatError("unknown dtype code %d in %s" % (dtype_code, path))
         dims = struct.unpack("<%dQ" % ndim, _read_exact(fh, 8 * ndim, path, "dims"))
-        dtype = _DTYPE_CODES[dtype_code]
-        size = math.prod(dims) * dtype.itemsize
+        size = math.prod(dims) * F32.itemsize
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > remaining:
             raise TensorFormatError(
                 "truncated payload in %s: dims %s need %d bytes, %d remain"
                 % (path, list(dims), size, remaining))
         try:
-            return np.frombuffer(fh.read(size), dtype=dtype).reshape(dims)
+            return np.frombuffer(fh.read(size), dtype=F32).reshape(dims)
         except ValueError as exc:   # too many dims, or a zero-size shape numpy rejects
             raise TensorFormatError("dims %s in %s: %s" % (list(dims), path, exc))
 
@@ -138,8 +137,7 @@ def save_params(path, tensors, header):
     index = {}
     for name, tensor in tensors.items():
         fname = name + ".emlt"
-        stored = np.ascontiguousarray(tensor, dtype="<f4")
-        write_tensor(os.path.join(folder, fname), stored)
+        stored = write_tensor(os.path.join(folder, fname), tensor)
         index[name] = {"file": fname, "dims": list(stored.shape),
                        "sha256": hashlib.sha256(stored).hexdigest()}
     write_json(path, dict({"tensors": index}, **header))

@@ -388,6 +388,19 @@ def test_derived_rng_is_stable():
     assert not np.array_equal(a, c)
 
 
+def test_derived_rng_keys_integers_by_value():
+    # repr spells a numpy integer np.int64(3) under numpy 2
+    np.testing.assert_array_equal(
+        augment.derive_rng(7, "step", np.int64(3)).uniform(size=4),
+        augment.derive_rng(7, "step", 3).uniform(size=4))
+    np.testing.assert_array_equal(
+        augment.derive_rng(7, np.uint8(1), np.intp(2)).uniform(size=4),
+        augment.derive_rng(7, 1, 2).uniform(size=4))
+    # a bool key keeps its own stream
+    assert not np.array_equal(augment.derive_rng(7, True).uniform(size=4),
+                              augment.derive_rng(7, 1).uniform(size=4))
+
+
 # ---------------------------------------------------------------------------
 # natural-spline kernel against scipy's CubicSpline (the oracle lives
 # here only; the package does not import scipy.interpolate)
@@ -617,6 +630,7 @@ def test_eq_basis_cached_matches_explicit_filterbank():
         np.testing.assert_array_equal(augment.eq_offsets(CFG, p), want)
     rows, bin_hz = augment.eq_basis(CFG)
     assert augment.eq_basis(CFG)[0] is rows
+    assert bin_hz is melfront.build_filterbank(CFG).bin_hz
     assert not rows.flags.writeable and not bin_hz.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1.0

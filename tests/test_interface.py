@@ -18,6 +18,7 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError, asdict, fields
 
+import numpy as np
 import pytest
 
 from embedloc import (augment, corpus, embedspace, encoder, locality, melfront,
@@ -153,6 +154,26 @@ def test_every_config_section_is_frozen():
         field = fields(section)[0].name
         with pytest.raises(FrozenInstanceError):
             setattr(section, field, getattr(section, field))
+
+
+def _array_holders(num_bands):
+    """One instance of each dataclass that holds numpy arrays."""
+    cfg = melfront.MelConfig(num_bands=num_bands)
+    return (melfront.MelSpectrogram(values=np.zeros((num_bands, 4)), config=cfg),
+            encoder.Mlp.init(3, 4, 2, np.random.default_rng(0)),
+            embedspace.EmbeddingSet(ids=["a", "b"], matrix=np.eye(2)),
+            melfront.build_filterbank(cfg))
+
+
+def test_array_holders_compare_by_identity_and_hash():
+    # a generated field-wise == compares arrays and raises ValueError, and
+    # a frozen one hashes them and raises TypeError
+    first, second = _array_holders(96), _array_holders(64)
+    for a, b in zip(first, second):
+        assert a == a and a != b and a in [b, a] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    with pytest.raises(FrozenInstanceError):
+        first[3].bin_hz = None
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,18 @@ def test_filterbank_is_built_once_per_config_and_read_only():
     fb = melfront.build_filterbank(cfg)
     assert melfront.build_filterbank(melfront.MelConfig()) is fb
     assert melfront.build_filterbank(melfront.MelConfig(num_bands=64)) is not fb
-    for array in (fb.weights, fb.band_center_hz):
+    for array in (fb.weights, fb.band_center_hz, fb.bin_hz):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("dft_size,rate", [(2048, 16000), (512, 8000), (1000, 22050)])
+def test_filterbank_bin_hz_are_the_rfft_bin_frequencies(dft_size, rate):
+    fb = melfront.build_filterbank(melfront.MelConfig(
+        dft_size=dft_size, sample_rate_hz=rate, num_bands=8, window_length=400))
+    assert fb.bin_hz.shape == (fb.weights.shape[1],) == (dft_size // 2 + 1,)
+    np.testing.assert_allclose(fb.bin_hz, np.fft.rfftfreq(dft_size, 1.0 / rate),
+                               rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("dft_size,num_bands,rate", [

@@ -128,6 +128,29 @@ def _payload_sha256(path):
     return hashlib.sha256(data[10 + 8 * ndim:]).hexdigest()
 
 
+def test_float64_input_is_stored_as_little_endian_float32(tmp_path):
+    arr = np.arange(12.0).reshape(3, 4) / 7.0 + 1e-9
+    payload = arr.astype("<f4").tobytes()
+    path = tmp_path / "a.emlt"
+    stored = tensorio.write_tensor(path, arr)
+    assert path.read_bytes() == (b"EMLT" + struct.pack("<HHH", 1, 1, 2)
+                                 + struct.pack("<2Q", 3, 4) + payload)
+    assert stored.dtype == np.dtype("<f4") and stored.tobytes() == payload
+    tensorio.save_params(tmp_path / "p" / "header.json", {"w": arr}, {})
+    index = json.loads((tmp_path / "p" / "header.json").read_text())["tensors"]
+    assert index["w"]["sha256"] == hashlib.sha256(payload).hexdigest()
+    assert (tmp_path / "p" / "w.emlt").read_bytes() == path.read_bytes()
+
+
+def test_unknown_dtype_code_is_rejected(tmp_path):
+    path = tmp_path / "f.emlt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<HHH", 1, 2, 1)
+                     + struct.pack("<Q", 1) + b"\0" * 8)
+    with pytest.raises(tensorio.TensorFormatError,
+                       match="^unknown dtype code 2 in .*f.emlt$"):
+        tensorio.read_tensor(path)
+
+
 def test_params_roundtrip_and_header_layout(tmp_path):
     tensors = {"w": np.arange(6.0).reshape(2, 3) / 7, "b": np.ones(3)}
     header = tmp_path / "p" / "header.json"
